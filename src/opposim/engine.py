@@ -244,7 +244,8 @@ class _HasView:
 class Link:
     """Established AP-client association carrying transfers both ways."""
 
-    __slots__ = ("ap", "client", "queue", "queued", "active", "open")
+    __slots__ = ("ap", "client", "queue", "queued", "active", "open",
+                 "summary_key")
 
     def __init__(self, ap: int, client: int):
         self.ap = ap
@@ -253,6 +254,9 @@ class Link:
         self.queued: Set[Tuple[int, int]] = set()
         self.active: Optional[Transfer] = None
         self.open = True
+        # both ends' buffer versions and refusal counts at the last summary
+        # exchange; a refresh rescans only when this has moved
+        self.summary_key: Optional[Tuple[int, int, int, int]] = None
 
     def other(self, nid: int) -> int:
         return self.client if nid == self.ap else self.ap
@@ -261,6 +265,13 @@ class Link:
 # ---------------------------------------------------------------------------
 # The simulation proper
 # ---------------------------------------------------------------------------
+
+def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
+    """A grid cell and its eight neighbours, column by column."""
+    x0, x1, y0, y1 = cx - 1, cx + 1, cy - 1, cy + 1
+    return ((x0, y0), (x0, cy), (x0, y1), (cx, y0), (cx, cy), (cx, y1),
+            (x1, y0), (x1, cy), (x1, y1))
+
 
 class Simulation:
     def __init__(self, config: ScenarioConfig, seed: int,
@@ -297,6 +308,7 @@ class Simulation:
         self.radio: List[RadioState] = [RadioState() for _ in range(n)]
         self.buffers: List[Buffer] = [Buffer(config.routing.buffer_capacity)
                                       for _ in range(n)]
+        self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
         self.in_flight: Set[Tuple[int, int]] = set()     # (sender, msg_id)
@@ -321,9 +333,10 @@ class Simulation:
         self.next_create: Optional[float] = None
         self._closing = False
 
-        # spatial hash
+        # spatial hash: every node in `grid`, AP-role nodes also in `ap_grid`
         self.cell_size = self.link_model.range
         self.grid: Dict[Tuple[int, int], Dict[int, None]] = {}
+        self.ap_grid: Dict[Tuple[int, int], Dict[int, None]] = {}
         self.cellver: Dict[Tuple[int, int], int] = {}
         self.node_cell: List[Tuple[int, int]] = [(-1, -1)] * n
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
@@ -395,48 +408,45 @@ class Simulation:
     def _bump_cell(self, cell: Tuple[int, int]) -> None:
         self.cellver[cell] = self.cellver.get(cell, 0) + 1
 
-    def _cells_around(self, pos: Tuple[float, float]):
-        cx, cy = int(pos[0] // self.cell_size), int(pos[1] // self.cell_size)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                yield (cx + dx, cy + dy)
-
-    def _neighbors(self, nid: int):
-        px, py = self.pos[nid]
+    def _neighbors(self, nid: int,
+                   grid: Dict[Tuple[int, int], Dict[int, None]]) -> List[int]:
+        """Nodes of `grid` within radio range of nid, nid excluded, in
+        cell order and, within a cell, in the bucket's insertion order."""
+        pos = self.pos
+        px, py = pos[nid]
         r2 = self.cell_size * self.cell_size
-        for cell in self._cells_around(self.pos[nid]):
-            bucket = self.grid.get(cell)
-            if not bucket:
-                continue
-            for other in bucket:
-                if other == nid:
-                    continue
-                ox, oy = self.pos[other]
-                if (ox - px) ** 2 + (oy - py) ** 2 <= r2:
-                    yield other
+        cx, cy = self.node_cell[nid]
+        out = []
+        for cell in _ring(cx, cy):
+            bucket = grid.get(cell)
+            if bucket:
+                for other in bucket:
+                    if other != nid:
+                        ox, oy = pos[other]
+                        if (ox - px) ** 2 + (oy - py) ** 2 <= r2:
+                            out.append(other)
+        return out
 
     def _policy_for(self, nid: int) -> RouterPolicy:
         return self.policy_table.get(nid, self.policy)
 
     def _co_channel_count(self, nid: int) -> int:
         """APs within range of this AP sharing its channel, incl. itself."""
-        state = self.radio[nid]
+        channel = self.radio[nid].channel
+        radio = self.radio
         count = 1
-        for other in self._neighbors(nid):
-            os_ = self.radio[other]
-            if os_.phase is Phase.AP and os_.channel == state.channel:
+        for other in self._neighbors(nid, self.ap_grid):
+            if radio[other].channel == channel:
                 count += 1
         return count
 
     def _visible_aps(self, nid: int) -> List[VisibleAp]:
         out = []
-        for other in self._neighbors(nid):
-            st = self.radio[other]
-            if st.phase is Phase.AP:
-                est = joiner_bandwidth_estimate(
-                    self.link_model, self._co_channel_count(other),
-                    len(st.clients))
-                out.append(VisibleAp(other, est))
+        for other in self._neighbors(nid, self.ap_grid):
+            est = joiner_bandwidth_estimate(
+                self.link_model, self._co_channel_count(other),
+                len(self.radio[other].clients))
+            out.append(VisibleAp(other, est))
         out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
         return out
 
@@ -577,15 +587,18 @@ class Simulation:
         old_cell = self.node_cell[nid]
         new_cell = (int(newpos[0] // self.cell_size),
                     int(newpos[1] // self.cell_size))
+        state = self.radio[nid]
         if new_cell != old_cell:
             self.grid[old_cell].pop(nid, None)
             self.grid.setdefault(new_cell, {})[nid] = None
             self.node_cell[nid] = new_cell
+            if state.phase is Phase.AP:
+                self._ap_grid_remove(nid, old_cell)
+                self.ap_grid.setdefault(new_cell, {})[nid] = None
         self._bump_cell(old_cell)
         if new_cell != old_cell:
             self._bump_cell(new_cell)
         self._check_links_of(nid, t)
-        state = self.radio[nid]
         if state.phase is Phase.AP:
             # a moving AP drags co-channel interference along with it
             if self.ap_active.get(nid):
@@ -651,22 +664,33 @@ class Simulation:
 
     def _ap_created(self, nid: int, t: float) -> None:
         state = self.radio[nid]
-        nearby = [self.radio[o].channel for o in self._neighbors(nid)
-                  if self.radio[o].phase is Phase.AP]
+        nearby = [self.radio[o].channel
+                  for o in self._neighbors(nid, self.ap_grid)]
         state.channel = assign_channel(nearby, self.link_model.num_channels)
         state.clients = {}
         self.ap_active[nid] = {}
-        self._bump_cell(self.node_cell[nid])
+        cell = self.node_cell[nid]
+        self.ap_grid.setdefault(cell, {})[nid] = None
+        self._bump_cell(cell)
         self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
         self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
         self._resettle_neighborhood(nid, t)
 
     def _resettle_neighborhood(self, nid: int, t: float) -> None:
-        """Re-derive rates of APs near a changed AP (channel landscape)."""
-        for other in self._neighbors(nid):
-            st = self.radio[other]
-            if st.phase is Phase.AP and self.ap_active.get(other):
-                self._settle_ap(other, t)
+        """Re-derive rates of APs near a changed AP (channel landscape).
+
+        Settle order assigns the `_seq` tie-breaks of transfer completions.
+        The order is the full grid's: cell by cell, and within a cell the
+        order in which nodes entered it. `ap_grid` does not keep that
+        order, so it only finds the busy APs; two or more are put back in
+        full-grid order."""
+        ap_active = self.ap_active
+        busy = [o for o in self._neighbors(nid, self.ap_grid)
+                if ap_active.get(o)]
+        if len(busy) > 1:
+            busy = [o for o in self._neighbors(nid, self.grid) if o in busy]
+        for other in busy:
+            self._settle_ap(other, t)
 
     def _apcheck_event(self, nid: int, t: float) -> None:
         state = self.radio[nid]
@@ -687,8 +711,16 @@ class Simulation:
         self.epoch[nid] += 1
         state.reset_to_scan(t, self.timing)
         self._push_radio(state.timer_expiry, nid, "phase")
-        self._bump_cell(self.node_cell[nid])
+        cell = self.node_cell[nid]
+        self._ap_grid_remove(nid, cell)
+        self._bump_cell(cell)
         self._resettle_neighborhood(nid, t)
+
+    def _ap_grid_remove(self, nid: int, cell: Tuple[int, int]) -> None:
+        bucket = self.ap_grid[cell]
+        del bucket[nid]
+        if not bucket:
+            del self.ap_grid[cell]
 
     def _finish_connect(self, nid: int, t: float) -> None:
         state = self.radio[nid]
@@ -744,9 +776,8 @@ class Simulation:
             return
         # Skip the scan when the RF neighborhood looks unchanged; moving
         # nodes bump their cells every tick so nothing stale hides here.
-        key = tuple(self.cellver.get(c, 0) for c in
-                    self._cells_around(self.pos[nid]))
-        key += (state.attached_ap,)
+        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
+               state.attached_ap)
         if self.client_scan_key.get(nid) == key:
             self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
             return
@@ -796,8 +827,14 @@ class Simulation:
             heapq.heappush(self.refresh_events, (t + refresh, self._seq, link))
         self._start_next(link, t)
 
+    def _summary_key(self, link: Link) -> Tuple[int, int, int, int]:
+        ap, client = link.ap, link.client
+        return (self.buffers[ap].version, self.buffers[client].version,
+                self.refused[ap], self.refused[client])
+
     def _select_into(self, link: Link, t: float) -> None:
         """Summary exchange on a link: queue everything each side offers."""
+        link.summary_key = self._summary_key(link)
         for src, dst in ((link.ap, link.client), (link.client, link.ap)):
             peer = self._summary_of(dst)
             for plan in self._policy_for(src).select_transfers(
@@ -809,14 +846,31 @@ class Simulation:
 
     def _refresh_step(self, t: float) -> None:
         """Long-lived links repeat the anti-entropy exchange periodically,
-        re-offering anything the peer dropped since the last pass."""
+        re-offering anything the peer dropped since the last pass.
+
+        A pass rescans only when `Link.summary_key` moved: a buffer's id
+        set changed, or an end refused an admission. Otherwise a rescan
+        would queue nothing new, because everything else select_transfers
+        reads either only grows or is re-offered at once:
+
+        - custodians and delivered ids only grow, and growth only removes
+          offers;
+        - a token return after a refused hand-off calls _offer_new_message;
+        - a transfer that held the sender's copy in flight re-offers it
+          when it ends, unless the copy left the buffer;
+        - an offer dropped while another holder pushed the same copy to
+          dst comes back through dst's version (admitted), its refusal
+          count (refused) or _offer_inbound (aborted).
+
+        The queue is served on every pass."""
         events = self.refresh_events
         interval = self.config.routing.summary_refresh
         while events and events[0][0] <= t:
             _, _, link = heapq.heappop(events)
             if not link.open:
                 continue
-            self._select_into(link, t)
+            if link.summary_key != self._summary_key(link):
+                self._select_into(link, t)
             self._start_next(link, t)
             self._seq += 1
             heapq.heappush(events, (t + interval, self._seq, link))
@@ -968,6 +1022,7 @@ class Simulation:
                 self._handle_evictions(dst, evicted, now)
                 self._offer_new_message(dst, msg, now)
             else:
+                self.refused[dst] += 1
                 if self._policy_for(src).uses_tokens and entry is not None:
                     entry.tokens += tokens    # failed hand-off returns tokens
                 self._note_copy_gone(msg.msg_id, now)

@@ -54,7 +54,9 @@ class Buffer:
         self.capacity = int(capacity)
         self.entries: Dict[int, BufferEntry] = {}
         self.used = 0
-        self.version = 0         # bumped on any content change
+        # bumped whenever the set of buffered ids changes; token and pin
+        # changes leave it alone
+        self.version = 0
 
     def __contains__(self, msg_id: int) -> bool:
         return msg_id in self.entries
@@ -81,29 +83,29 @@ def buffer_admit(buffer: Buffer, message: Message, tokens: int,
     """Store a message copy, evicting oldest unpinned entries to make room.
 
     Returns (admitted, evicted_entries). A message larger than the whole
-    buffer is rejected outright; so is a duplicate id.
+    buffer is rejected outright; so is a duplicate id. A message that does
+    not fit even after every unpinned entry is gone is refused and leaves
+    the buffer untouched, its FIFO order included.
     """
     if message.msg_id in buffer.entries:
         raise RoutingError(f"message {message.msg_id} already buffered")
     if message.size > buffer.capacity:
         return False, []
     evicted: List[BufferEntry] = []
-    if buffer.used + message.size > buffer.capacity:
-        for mid in list(buffer.entries.keys()):
-            entry = buffer.entries[mid]
+    used = buffer.used
+    if used + message.size > buffer.capacity:
+        for entry in buffer.entries.values():
             if entry.pinned:
                 continue
             evicted.append(entry)
-            buffer.entries.pop(mid)
-            buffer.used -= entry.message.size
-            if buffer.used + message.size <= buffer.capacity:
+            used -= entry.message.size
+            if used + message.size <= buffer.capacity:
                 break
-    if buffer.used + message.size > buffer.capacity:
-        # Pinned entries block the remaining space; give the evictees back.
+        else:
+            return False, []    # pinned entries block the remaining space
         for entry in evicted:
-            buffer.entries[entry.message.msg_id] = entry
-            buffer.used += entry.message.size
-        return False, []
+            del buffer.entries[entry.message.msg_id]
+        buffer.used = used
     buffer.entries[message.msg_id] = BufferEntry(message, tokens, now)
     buffer.used += message.size
     buffer.version += 1

@@ -11,8 +11,8 @@ from opposim.engine import (
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
 from opposim.radio import Phase, TimingParams
-from opposim.routing import EpidemicPolicy
-from opposim.traffic import TrafficConfig
+from opposim.routing import EpidemicPolicy, buffer_admit
+from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
 
@@ -274,6 +274,78 @@ class TestEngineInvariants:
             assert rep.relayed >= rep.delivered
             if rep.overhead_ratio is not None:
                 assert rep.overhead_ratio >= 0.0
+
+
+class SpyPolicy(EpidemicPolicy):
+    """Epidemic forwarding that records every summary scan it makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.scans = []
+
+    def select_transfers(self, local, peer):
+        plans = super().select_transfers(local, peer)
+        self.scans.append((local, peer.node_id, [p.msg_id for p in plans]))
+        return plans
+
+    def scans_by_node(self, sim):
+        """(sender, receiver, offered ids) of every scan recorded so far."""
+        return [(sim.buffers.index(local), dst, ids)
+                for local, dst, ids in self.scans]
+
+
+class TestSummaryRefresh:
+    """Periodic refreshes rescan a link only when a rescan can find more."""
+
+    def setup_sim(self, holders, n_nodes=4):
+        # static nodes in range of each other, except the far destination;
+        # the run loop never starts, the test drives links by hand
+        positions = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (500.0, 500.0)]
+        spy = SpyPolicy()
+        sim = Simulation(scripted_config(), seed=1,
+                         static_positions=positions[:n_nodes],
+                         policy_table={i: spy for i in range(n_nodes)})
+        msg = Message(0, holders[0], n_nodes - 1, MB, 0.0, 86400.0, 10)
+        sim.messages[0] = msg
+        sim.msg_status[0] = "live"
+        sim.holders[0] = set(holders)
+        for h in holders:
+            assert buffer_admit(sim.buffers[h], msg, 10, 0.0)[0]
+            msg.custodians.add(h)
+        return sim, spy
+
+    def test_refusal_requeues_offer_dropped_as_in_flight(self):
+        sim, spy = self.setup_sim(holders=(1, 2))
+        sim.buffers[0].capacity = MB // 2     # node 0 turns the copy down
+        sim._establish_link(0, 1, 0.0)        # node 1 starts pushing it
+        sim._establish_link(0, 2, 0.0)
+        # node 2's offer was dropped: node 1 already pushes the same copy
+        link2 = sim.links[2][0]
+        assert link2.active is None and not link2.queue
+        sim._transfer_step(0.0, 0.5)          # 1 MB at 5 MB/s ends at 0.2 s
+        assert sim.refused[0] > 0
+        assert sim.buffers[0].version == 0    # a refusal changes no buffer
+        spy.scans.clear()
+        sim._refresh_step(sim.config.routing.summary_refresh)
+        # no buffer changed, yet node 2 offers its copy to node 0 again
+        assert (2, 0, [0]) in spy.scans_by_node(sim)
+
+    def test_unchanged_buffers_skip_the_rescan(self):
+        sim, spy = self.setup_sim(holders=(0, 1), n_nodes=3)
+        sim._establish_link(0, 1, 0.0)
+        assert len(spy.scans) == 2            # one scan per side
+        refresh = sim.config.routing.summary_refresh
+        spy.scans.clear()
+        sim._refresh_step(refresh)
+        assert spy.scans == []
+        # a buffer change makes the next pass rescan both sides
+        extra = Message(1, 1, 2, MB, 0.0, 86400.0, 10)
+        sim.messages[1] = extra
+        sim.msg_status[1] = "live"
+        sim.holders[1] = {1}
+        assert buffer_admit(sim.buffers[1], extra, 10, 0.0)[0]
+        sim._refresh_step(2 * refresh)
+        assert sorted(spy.scans_by_node(sim)) == [(0, 1, []), (1, 0, [1])]
 
 
 class TestBatchAndSweep:

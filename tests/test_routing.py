@@ -58,6 +58,24 @@ class TestBufferAdmit:
         assert [e.message.msg_id for e in evicted] == [2]
         assert 1 in b
 
+    def test_refused_admit_keeps_fifo_order(self):
+        b = Buffer(300)
+        for i in range(3):
+            ok, _ = buffer_admit(b, msg(i, size=100), 10, now=float(i))
+            assert ok
+        b.get(2).pinned = True
+        version = b.version
+        # evicting 0 and 1 still leaves no room next to the pinned copy
+        ok, evicted = buffer_admit(b, msg(10, size=250), 10, now=3.0)
+        assert not ok and evicted == []
+        assert b.ids() == [0, 1, 2]
+        assert b.used == 300 and b.version == version
+        b.get(2).pinned = False
+        ok, evicted = buffer_admit(b, msg(11, size=100), 10, now=4.0)
+        assert ok
+        assert [e.message.msg_id for e in evicted] == [0]
+        assert b.ids() == [1, 2, 11]
+
     def test_duplicate_id_rejected(self):
         b = Buffer(100 * MB)
         buffer_admit(b, msg(1), 10, now=0.0)
