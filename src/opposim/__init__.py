@@ -16,12 +16,11 @@ from .map_graph import (PoiKind, PointOfInterest, RoadGraph, SegmentLayout,
 from .metrics import MetricsReport, aggregate, write_reports
 from .mobility import (Activity, MobilityModel, MobilitySettings, NodeProfile,
                        build_profiles, is_at_home, schedule_day)
-from .radio import (LinkModel, RadioRole, RadioState, TimingParams,
-                    assign_channel, effective_bandwidth, net_initiate_time,
+from .radio import (LinkModel, RadioState, TimingParams, assign_channel,
+                    effective_bandwidth, net_initiate_time,
                     net_reinitiate_time)
 from .routing import (Buffer, RouterPolicy, buffer_admit, epidemic_select,
-                      make_policy, snw_select, spray_split, summary_exchange,
-                      ttl_sweep)
+                      make_policy, snw_select, spray_split)
 from .scenario import load_scenario, serialize_scenario
 from .traffic import (Message, TrafficConfig, expected_count, make_message,
                       next_creation)

@@ -17,8 +17,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .routing import (Buffer, PeerSummary, RouterPolicy, buffer_admit,
-                      spray_split)
+from .routing import (Buffer, HasView, PeerSummary, RouterPolicy,
+                      buffer_admit, spray_split)
 from .traffic import Message
 
 
@@ -56,17 +56,6 @@ class _LiveContact:
         self.open = False
 
 
-class _View:
-    __slots__ = ("buffer", "delivered")
-
-    def __init__(self, buffer, delivered):
-        self.buffer = buffer
-        self.delivered = delivered
-
-    def __contains__(self, mid):
-        return mid in self.buffer.entries or mid in self.delivered
-
-
 def run_contact_trace(n_nodes: int, contacts: Sequence[Contact],
                       messages: Sequence[Message], policy: RouterPolicy,
                       buffer_capacity: int = 10 ** 12) -> ContactTraceResult:
@@ -96,7 +85,7 @@ def run_contact_trace(n_nodes: int, contacts: Sequence[Contact],
         push(m.created_at, 1, "create", m)
 
     def summary(nid: int) -> PeerSummary:
-        return PeerSummary(nid, _View(buffers[nid], delivered[nid]))
+        return PeerSummary(nid, HasView(buffers[nid], delivered[nid]))
 
     def enqueue(lc: _LiveContact, src: int) -> None:
         dst = lc.contact.a if src == lc.contact.b else lc.contact.b

@@ -33,8 +33,8 @@ from .radio import (LinkModel, Phase, RadioState, TimingParams, VisibleAp,
                     ap_due_retirement, assign_channel,
                     joiner_bandwidth_estimate, member_bandwidth_estimate,
                     should_switch_ap, step_radio)
-from .routing import (Buffer, PeerSummary, RouterPolicy, buffer_admit,
-                      make_policy, spray_split)
+from .routing import (Buffer, HasView, PeerSummary, RouterPolicy,
+                      buffer_admit, make_policy, spray_split)
 from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
@@ -204,9 +204,6 @@ class StaticMobility:
     def at_home(self, node_id):
         return self.home[node_id]
 
-    def moving_ids(self):
-        return []
-
 
 # ---------------------------------------------------------------------------
 # Links and transfers
@@ -226,19 +223,6 @@ class Transfer:
         self.started_at = now
         self.link = link
         self.epoch = 0
-
-
-class _HasView:
-    """Live membership view over a node's buffered plus delivered ids."""
-
-    __slots__ = ("buffer", "delivered")
-
-    def __init__(self, buffer: Buffer, delivered: Set[int]):
-        self.buffer = buffer
-        self.delivered = delivered
-
-    def __contains__(self, mid) -> bool:
-        return mid in self.buffer.entries or mid in self.delivered
 
 
 class Link:
@@ -742,9 +726,8 @@ class Simulation:
         tstate.clients[nid] = None
         tstate.last_client_change = t
         self._bump_cell(self.node_cell[target])
-        state.next_client_scan = t + self.config.radio.client_rescan
         self.client_scan_key.pop(nid, None)
-        self._push_radio(state.next_client_scan, nid, "rescan")
+        self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
         self._establish_link(target, nid, t)
 
     def _detach_client(self, nid: int, t: float, rescan: bool,
@@ -813,8 +796,7 @@ class Simulation:
     def _summary_of(self, nid: int) -> PeerSummary:
         # Lazy membership view: semantically the peer's buffered + delivered
         # id set, without materializing it on every offer check.
-        return PeerSummary(nid, _HasView(self.buffers[nid],
-                                         self.delivered[nid]))
+        return PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]))
 
     def _establish_link(self, ap: int, client: int, t: float) -> None:
         link = Link(ap, client)
@@ -839,10 +821,13 @@ class Simulation:
             peer = self._summary_of(dst)
             for plan in self._policy_for(src).select_transfers(
                     self.buffers[src], peer):
-                key = (plan.sort_key(), src, plan.msg_id)
-                if (src, plan.msg_id) not in link.queued:
-                    heapq.heappush(link.queue, key)
-                    link.queued.add((src, plan.msg_id))
+                self._enqueue(link, src, plan.msg_id, plan.sort_key())
+
+    @staticmethod
+    def _enqueue(link: Link, src: int, msg_id: int, sort_key: Tuple) -> None:
+        if (src, msg_id) not in link.queued:
+            heapq.heappush(link.queue, (sort_key, src, msg_id))
+            link.queued.add((src, msg_id))
 
     def _refresh_step(self, t: float) -> None:
         """Long-lived links repeat the anti-entropy exchange periodically,
@@ -884,46 +869,33 @@ class Simulation:
         self.links[link.ap].pop(link.client, None)
         self.links[link.client].pop(link.ap, None)
 
+    def _offer(self, link: Link, src: int, msg: Message, t: float) -> None:
+        """Queue src's copy of msg on link if the policy lets it go to the
+        other end, and start the link if it is idle."""
+        entry = self.buffers[src].get(msg.msg_id)
+        if entry is None:
+            return
+        dst = link.other(src)
+        if not self._policy_for(src).eligible(entry, self._summary_of(dst)):
+            return
+        self._enqueue(link, src, msg.msg_id,
+                      (0 if msg.destination == dst else 1, msg.created_at,
+                       msg.msg_id))
+        if link.active is None:
+            self._start_next(link, t)
+
     def _offer_new_message(self, nid: int, msg: Message, t: float) -> None:
         """A copy held at nid becomes offerable on all its open links."""
         if self._closing:
             return
         for link in list(self.links[nid].values()):
-            peer_id = link.other(nid)
-            entry = self.buffers[nid].get(msg.msg_id)
-            if entry is None:
-                return
-            peer = self._summary_of(peer_id)
-            if not self._policy_for(nid).eligible(entry, peer):
-                continue
-            direct = msg.destination == peer_id
-            key = ((0 if direct else 1, msg.created_at, msg.msg_id),
-                   nid, msg.msg_id)
-            if (nid, msg.msg_id) not in link.queued:
-                heapq.heappush(link.queue, key)
-                link.queued.add((nid, msg.msg_id))
-            if link.active is None:
-                self._start_next(link, t)
+            self._offer(link, nid, msg, t)
 
     def _offer_inbound(self, dst: int, msg: Message, t: float) -> None:
         """Re-surface a message toward dst from any linked holder (offers
         were dropped while an in-flight duplicate pinned the pair)."""
-        mid = msg.msg_id
         for link in list(self.links[dst].values()):
-            src = link.other(dst)
-            entry = self.buffers[src].get(mid)
-            if entry is None:
-                continue
-            peer = self._summary_of(dst)
-            if not self._policy_for(src).eligible(entry, peer):
-                continue
-            direct = msg.destination == dst
-            key = ((0 if direct else 1, msg.created_at, mid), src, mid)
-            if (src, mid) not in link.queued:
-                heapq.heappush(link.queue, key)
-                link.queued.add((src, mid))
-            if link.active is None:
-                self._start_next(link, t)
+            self._offer(link, link.other(dst), msg, t)
 
     def _start_next(self, link: Link, t: float) -> None:
         if not link.open or link.active is not None:

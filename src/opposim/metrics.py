@@ -243,13 +243,10 @@ def write_reports(reports: Sequence[MetricsReport], out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     runs_path = os.path.join(out_dir, f"{prefix}runs.csv")
     agg_path = os.path.join(out_dir, f"{prefix}aggregate.csv")
-    try:
-        with open(runs_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_runs_csv(reports))
-        with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_aggregate_csv(reports))
-    except OSError as exc:
-        raise MetricsError(f"cannot write reports under {out_dir}: {exc}") from exc
+    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(render_runs_csv(reports))
+    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(render_aggregate_csv(reports))
     return runs_path, agg_path
 
 

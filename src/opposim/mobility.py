@@ -635,6 +635,3 @@ class MobilityModel:
 
     def at_home(self, node_id: int) -> bool:
         return is_at_home(self.nodes[node_id].activity)
-
-    def moving_ids(self) -> List[int]:
-        return [nid for nid, st in self.nodes.items() if st.moving]

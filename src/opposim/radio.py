@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ def net_reinitiate_time(t: TimingParams, ap_available: bool) -> float:
     return net_initiate_time(t)
 
 
-class RadioRole(Enum):
-    IDLE = "idle"
-    SCANNING = "scanning"
-    ACCESS_POINT = "access_point"
-    CLIENT = "client"
-
-
 class Phase(Enum):
     IDLE = 0
     SCANNING = 1
@@ -72,23 +65,11 @@ class Phase(Enum):
     CLIENT = 6
 
 
-_PHASE_ROLE = {
-    Phase.IDLE: RadioRole.IDLE,
-    Phase.RESTING: RadioRole.IDLE,
-    Phase.BECOMING_AP: RadioRole.IDLE,
-    Phase.CONNECTING: RadioRole.IDLE,
-    Phase.SCANNING: RadioRole.SCANNING,
-    Phase.AP: RadioRole.ACCESS_POINT,
-    Phase.CLIENT: RadioRole.CLIENT,
-}
-
-
 class RadioState:
-    """Per-node radio state: coarse role plus transition timers."""
+    """Per-node radio state: phase plus transition timers."""
 
     __slots__ = ("phase", "timer_expiry", "channel", "attached_ap", "clients",
-                 "ap_since", "last_client_change", "connect_target",
-                 "next_client_scan", "client_scan_due")
+                 "ap_since", "last_client_change", "connect_target")
 
     def __init__(self):
         self.phase = Phase.IDLE
@@ -99,12 +80,6 @@ class RadioState:
         self.ap_since = 0.0
         self.last_client_change = 0.0
         self.connect_target: Optional[int] = None
-        self.next_client_scan = 0.0          # next background rescan start
-        self.client_scan_due: Optional[float] = None  # pending rescan result time
-
-    @property
-    def role(self) -> RadioRole:
-        return _PHASE_ROLE[self.phase]
 
     def reset_to_scan(self, now: float, timing: TimingParams) -> None:
         self.phase = Phase.SCANNING
@@ -113,7 +88,6 @@ class RadioState:
         self.attached_ap = None
         self.clients = {}
         self.connect_target = None
-        self.client_scan_due = None
 
 
 @dataclass(frozen=True)
@@ -133,27 +107,6 @@ def joiner_bandwidth_estimate(link: LinkModel, co_channel_count: int,
 def member_bandwidth_estimate(link: LinkModel, co_channel_count: int,
                               current_clients: int) -> float:
     return link.base_speed / max(1, co_channel_count) / max(1, current_clients)
-
-
-def visible_aps(position: Tuple[float, float],
-                candidates: Iterable[Tuple[int, Tuple[float, float], RadioState, int]],
-                link: LinkModel) -> List[VisibleAp]:
-    """AP-role nodes within communication range, fastest first.
-
-    candidates: (node_id, position, radio_state, co_channel_count) tuples.
-    Ties on estimated bandwidth break toward the lowest node id.
-    """
-    px, py = position
-    r2 = link.range * link.range
-    out = []
-    for node_id, (x, y), state, co_count in candidates:
-        if state.phase is not Phase.AP:
-            continue
-        if (x - px) ** 2 + (y - py) ** 2 <= r2:
-            est = joiner_bandwidth_estimate(link, co_count, len(state.clients))
-            out.append(VisibleAp(node_id, est))
-    out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
-    return out
 
 
 def best_ap(visible: Sequence[VisibleAp]) -> Optional[VisibleAp]:

@@ -11,14 +11,15 @@ Three routers share one machinery:
                    house, office or evening spot.
 
 A message's custodian set (everyone who holds or ever held a copy) is
-shared state carried with the message; nothing is ever re-sent to a former
-custodian except the destination itself.
+shared state carried with the message. The spray routers never send a copy
+to a former custodian except the destination itself; epidemic keeps no
+such history and offers a copy again to a peer that has lost its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from .traffic import Message
 
@@ -112,37 +113,32 @@ def buffer_admit(buffer: Buffer, message: Message, tokens: int,
     return True, evicted
 
 
-def ttl_sweep(buffer: Buffer, now: float) -> List[BufferEntry]:
-    """Remove every copy whose message lifetime has passed."""
-    expired = [e for e in buffer.entries.values() if e.message.expired(now)]
-    for entry in expired:
-        buffer.entries.pop(entry.message.msg_id)
-        buffer.used -= entry.message.size
-    if expired:
-        buffer.version += 1
-    return expired
-
-
 # ---------------------------------------------------------------------------
 # Summaries and transfer selection
 # ---------------------------------------------------------------------------
+
+class HasView:
+    """Live membership view over a node's buffered plus delivered ids.
+
+    Delivered ids count as held, so a destination is never offered a
+    message twice."""
+
+    __slots__ = ("buffer", "delivered")
+
+    def __init__(self, buffer: Buffer, delivered: Set[int]):
+        self.buffer = buffer
+        self.delivered = delivered
+
+    def __contains__(self, msg_id) -> bool:
+        return msg_id in self.buffer.entries or msg_id in self.delivered
+
 
 @dataclass(frozen=True)
 class PeerSummary:
     """What one side of a link knows about the other after the (zero-cost)
     control exchange: peer identity and the message ids it already has."""
     node_id: int
-    has: FrozenSet[int]
-
-
-def summary_exchange(a_id: int, a_buffer: Buffer, a_delivered: Set[int],
-                     b_id: int, b_buffer: Buffer, b_delivered: Set[int],
-                     ) -> Tuple[PeerSummary, PeerSummary]:
-    """Mutual id summaries for a link; delivered ids count as 'has' so a
-    destination is never offered a message twice."""
-    view_of_b = PeerSummary(b_id, frozenset(set(b_buffer.entries) | b_delivered))
-    view_of_a = PeerSummary(a_id, frozenset(set(a_buffer.entries) | a_delivered))
-    return view_of_b, view_of_a
+    has: Container[int]
 
 
 @dataclass(frozen=True)
@@ -278,44 +274,7 @@ _POLICIES = {
 
 def make_policy(name: str, p_ap: float = 0.5) -> RouterPolicy:
     key = name.strip().lower().replace("_", "-")
-    key = {"spray-and-wait": "snw", "sprayandwait": "snw"}.get(key, key)
     if key not in _POLICIES:
         raise RoutingError(f"unknown router {name!r}; "
                            f"choose from epidemic, snw, hrson")
     return _POLICIES[key](p_ap=p_ap)
-
-
-# ---------------------------------------------------------------------------
-# Transfer and delivery records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransferRecord:
-    msg_id: int
-    from_node: int
-    to_node: int
-    started_at: float
-    finished_at: float
-    bytes_moved: int
-    completed: bool
-
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    msg_id: int
-    node: int
-    created_at: float
-    delivered_at: float
-
-    @property
-    def latency(self) -> float:
-        return self.delivered_at - self.created_at
-
-
-def deliver(message: Message, at_node: int, now: float) -> DeliveryRecord:
-    """Finalize a message at its destination."""
-    if at_node != message.destination:
-        raise RoutingError(
-            f"message {message.msg_id} delivered to {at_node}, "
-            f"destination is {message.destination}")
-    return DeliveryRecord(message.msg_id, at_node, message.created_at, now)

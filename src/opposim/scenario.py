@@ -9,20 +9,21 @@ the desk-scale experiment plus the four full-scale evaluation scenarios.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .engine import (ConfigError, MapConfig, PoiConfig, RadioConfig,
-                     RoutingConfig, ScenarioConfig)
+from .engine import ConfigError, ScenarioConfig
 from .mobility import MobilitySettings
-from .radio import LinkModel, TimingParams
-from .traffic import TrafficConfig
 
 PRESET_NAMES = ("desk", "scenario1", "scenario2", "scenario3", "scenario4")
 
 
 def _fmt_value(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float) and value == int(value):
@@ -41,225 +42,112 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_pair(text: str, conv):
-    sep = "," if "," in text else "-"
-    parts = [p.strip() for p in text.split(sep) if p.strip() != ""]
-    if len(parts) != 2:
-        raise ValueError(f"expected two values: {text!r}")
-    return (conv(parts[0]), conv(parts[1]))
+def _pair(conv) -> Callable[[str], tuple]:
+    """Parser for two values separated by ',' or '-'."""
+    def parse(text: str) -> tuple:
+        sep = "," if "," in text else "-"
+        parts = [p.strip() for p in text.split(sep) if p.strip() != ""]
+        if len(parts) != 2:
+            raise ValueError(f"expected two values: {text!r}")
+        return (conv(parts[0]), conv(parts[1]))
+    return parse
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip() != "")
 
 
-# (section, key) -> (parser, getter path description)
-_SCHEMA: Dict[Tuple[str, str], object] = {
-    ("map", "source"): str,
-    ("map", "file"): str,
-    ("map", "width"): float,
-    ("map", "height"): float,
-    ("map", "grid_step"): float,
-    ("map", "edge_removal"): float,
-    ("map", "map_seed"): int,
-    ("pois", "houses"): int,
-    ("pois", "offices"): int,
-    ("pois", "evening_spots"): int,
-    ("pois", "bus_stops"): int,
-    ("pois", "office_area"): float,
-    ("pois", "segment_overlap"): float,
-    ("mobility", "groups"): _parse_int_list,
-    ("mobility", "own_car_prob"): float,
-    ("mobility", "walk_speed"): lambda t: _parse_pair(t, float),
-    ("mobility", "drive_speed"): lambda t: _parse_pair(t, float),
-    ("mobility", "work_seconds"): float,
-    ("mobility", "office_pause"): lambda t: _parse_pair(t, float),
-    ("mobility", "evening_prob"): float,
-    ("mobility", "evening_stay"): lambda t: _parse_pair(t, float),
-    ("mobility", "evening_group_size"): lambda t: _parse_pair(t, int),
-    ("mobility", "bus_wait"): lambda t: _parse_pair(t, float),
-    ("mobility", "bus_lines"): int,
-    ("mobility", "buses_per_line"): int,
-    ("mobility", "bus_catch_radius"): float,
-    ("traffic", "interval"): lambda t: _parse_pair(t, float),
-    ("traffic", "size"): lambda t: _parse_pair(t, int),
-    ("traffic", "ttl"): float,
-    ("traffic", "window"): lambda t: _parse_pair(t, float),
-    ("traffic", "copies"): int,
-    ("radio", "scan_time"): float,
-    ("radio", "rest_time"): float,
-    ("radio", "ap_time"): float,
-    ("radio", "connect_time"): float,
-    ("radio", "base_speed"): float,
-    ("radio", "range"): float,
-    ("radio", "channels"): int,
-    ("radio", "p_ap"): float,
-    ("radio", "client_rescan"): float,
-    ("radio", "switch_ratio"): float,
-    ("radio", "ap_idle_timeout"): float,
-    ("radio", "ap_max_duration"): float,
-    ("radio", "stagger"): _parse_bool,
-    ("routing", "router"): str,
-    ("routing", "buffer_capacity"): int,
-    ("routing", "summary_refresh"): float,
-    ("engine", "duration"): float,
-    ("engine", "tick"): float,
-}
+def _parse_optional(text: str) -> Optional[str]:
+    return text or None
 
 
-def config_to_mapping(config: ScenarioConfig) -> Dict[str, Dict[str, str]]:
-    m = config.map
-    p = config.pois
-    mo = config.mobility
-    tr = config.traffic
-    ra = config.radio
-    ro = config.routing
-    return {
-        "map": {
-            "source": m.source, "file": m.file or "", "width": _fmt_value(m.width),
-            "height": _fmt_value(m.height), "grid_step": _fmt_value(m.grid_step),
-            "edge_removal": _fmt_value(m.edge_removal),
-            "map_seed": _fmt_value(m.map_seed),
-        },
-        "pois": {
-            "houses": str(p.houses), "offices": str(p.offices),
-            "evening_spots": str(p.evening_spots), "bus_stops": str(p.bus_stops),
-            "office_area": _fmt_value(p.office_area),
-            "segment_overlap": _fmt_value(p.segment_overlap),
-        },
-        "mobility": {
-            "groups": _fmt_value(mo.group_sizes),
-            "own_car_prob": _fmt_value(mo.own_car_prob),
-            "walk_speed": _fmt_value(mo.walk_speed),
-            "drive_speed": _fmt_value(mo.drive_speed),
-            "work_seconds": _fmt_value(mo.work_seconds),
-            "office_pause": _fmt_value(mo.office_pause),
-            "evening_prob": _fmt_value(mo.evening_prob),
-            "evening_stay": _fmt_value(mo.evening_stay),
-            "evening_group_size": _fmt_value(mo.evening_group_size),
-            "bus_wait": _fmt_value(mo.bus_wait),
-            "bus_lines": str(mo.bus_lines),
-            "buses_per_line": str(mo.buses_per_line),
-            "bus_catch_radius": _fmt_value(mo.bus_catch_radius),
-        },
-        "traffic": {
-            "interval": _fmt_value(tr.interval_range),
-            "size": _fmt_value(tr.size_range),
-            "ttl": _fmt_value(tr.ttl),
-            "window": _fmt_value(tr.window),
-            "copies": str(tr.copy_limit),
-        },
-        "radio": {
-            "scan_time": _fmt_value(ra.timing.t_scan),
-            "rest_time": _fmt_value(ra.timing.t_rest),
-            "ap_time": _fmt_value(ra.timing.t_ap),
-            "connect_time": _fmt_value(ra.timing.t_connect),
-            "base_speed": _fmt_value(ra.link.base_speed),
-            "range": _fmt_value(ra.link.range),
-            "channels": str(ra.link.num_channels),
-            "p_ap": _fmt_value(ra.p_ap),
-            "client_rescan": _fmt_value(ra.client_rescan),
-            "switch_ratio": _fmt_value(ra.switch_ratio),
-            "ap_idle_timeout": _fmt_value(ra.ap_idle_timeout),
-            "ap_max_duration": _fmt_value(ra.ap_max_duration),
-            "stagger": _fmt_value(ra.stagger),
-        },
-        "routing": {
-            "router": ro.router,
-            "buffer_capacity": str(ro.buffer_capacity),
-            "summary_refresh": _fmt_value(ro.summary_refresh),
-        },
-        "engine": {
-            "duration": _fmt_value(config.duration),
-            "tick": _fmt_value(config.tick),
-        },
-    }
+# Every scenario key, once: (section, key, ScenarioConfig attribute path,
+# parser). Parsing, overrides and serialization all read this table, and
+# its order is the order keys are written in.
+_KEYS: Tuple[Tuple[str, str, str, Callable[[str], object]], ...] = (
+    ("map", "source", "map.source", str),
+    ("map", "file", "map.file", _parse_optional),
+    ("map", "width", "map.width", float),
+    ("map", "height", "map.height", float),
+    ("map", "grid_step", "map.grid_step", float),
+    ("map", "edge_removal", "map.edge_removal", float),
+    ("map", "map_seed", "map.map_seed", int),
+    ("pois", "houses", "pois.houses", int),
+    ("pois", "offices", "pois.offices", int),
+    ("pois", "evening_spots", "pois.evening_spots", int),
+    ("pois", "bus_stops", "pois.bus_stops", int),
+    ("pois", "office_area", "pois.office_area", float),
+    ("pois", "segment_overlap", "pois.segment_overlap", float),
+    ("mobility", "groups", "mobility.group_sizes", _parse_int_list),
+    ("mobility", "own_car_prob", "mobility.own_car_prob", float),
+    ("mobility", "walk_speed", "mobility.walk_speed", _pair(float)),
+    ("mobility", "drive_speed", "mobility.drive_speed", _pair(float)),
+    ("mobility", "work_seconds", "mobility.work_seconds", float),
+    ("mobility", "office_pause", "mobility.office_pause", _pair(float)),
+    ("mobility", "evening_prob", "mobility.evening_prob", float),
+    ("mobility", "evening_stay", "mobility.evening_stay", _pair(float)),
+    ("mobility", "evening_group_size", "mobility.evening_group_size",
+     _pair(int)),
+    ("mobility", "bus_wait", "mobility.bus_wait", _pair(float)),
+    ("mobility", "bus_lines", "mobility.bus_lines", int),
+    ("mobility", "buses_per_line", "mobility.buses_per_line", int),
+    ("mobility", "bus_catch_radius", "mobility.bus_catch_radius", float),
+    ("traffic", "interval", "traffic.interval_range", _pair(float)),
+    ("traffic", "size", "traffic.size_range", _pair(int)),
+    ("traffic", "ttl", "traffic.ttl", float),
+    ("traffic", "window", "traffic.window", _pair(float)),
+    ("traffic", "copies", "traffic.copy_limit", int),
+    ("radio", "scan_time", "radio.timing.t_scan", float),
+    ("radio", "rest_time", "radio.timing.t_rest", float),
+    ("radio", "ap_time", "radio.timing.t_ap", float),
+    ("radio", "connect_time", "radio.timing.t_connect", float),
+    ("radio", "base_speed", "radio.link.base_speed", float),
+    ("radio", "range", "radio.link.range", float),
+    ("radio", "channels", "radio.link.num_channels", int),
+    ("radio", "p_ap", "radio.p_ap", float),
+    ("radio", "client_rescan", "radio.client_rescan", float),
+    ("radio", "switch_ratio", "radio.switch_ratio", float),
+    ("radio", "ap_idle_timeout", "radio.ap_idle_timeout", float),
+    ("radio", "ap_max_duration", "radio.ap_max_duration", float),
+    ("radio", "stagger", "radio.stagger", _parse_bool),
+    ("routing", "router", "routing.router", str),
+    ("routing", "buffer_capacity", "routing.buffer_capacity", int),
+    ("routing", "summary_refresh", "routing.summary_refresh", float),
+    ("engine", "duration", "duration", float),
+    ("engine", "tick", "tick", float),
+)
+
+_SCHEMA: Dict[Tuple[str, str], Tuple[str, Callable[[str], object]]] = {
+    (section, key): (path, conv) for section, key, path, conv in _KEYS}
+
+
+def _replace_at(obj, path: str, value):
+    """Copy of a frozen dataclass tree with the attribute at `path` set."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_at(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
+    mapping: Dict[str, Dict[str, str]] = {}
+    for section, key, path, _ in _KEYS:
+        mapping.setdefault(section, {})[key] = _fmt_value(
+            attrgetter(path)(config))
     parser = configparser.ConfigParser()
-    for section, keys in config_to_mapping(config).items():
-        parser[section] = keys
+    parser.read_dict(mapping)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
 
 
-def mapping_to_config(values: Dict[Tuple[str, str], object]) -> ScenarioConfig:
-    def get(section, key, default):
-        return values.get((section, key), default)
-
-    dm, dp, dmo, dtr, dra, dro = (MapConfig(), PoiConfig(), MobilitySettings(),
-                                  TrafficConfig(), RadioConfig(), RoutingConfig())
-    map_cfg = MapConfig(
-        source=get("map", "source", dm.source),
-        file=(get("map", "file", dm.file) or None),
-        width=get("map", "width", dm.width),
-        height=get("map", "height", dm.height),
-        grid_step=get("map", "grid_step", dm.grid_step),
-        edge_removal=get("map", "edge_removal", dm.edge_removal),
-        map_seed=get("map", "map_seed", dm.map_seed),
-    )
-    pois = PoiConfig(
-        houses=get("pois", "houses", dp.houses),
-        offices=get("pois", "offices", dp.offices),
-        evening_spots=get("pois", "evening_spots", dp.evening_spots),
-        bus_stops=get("pois", "bus_stops", dp.bus_stops),
-        office_area=get("pois", "office_area", dp.office_area),
-        segment_overlap=get("pois", "segment_overlap", dp.segment_overlap),
-    )
-    mobility = MobilitySettings(
-        group_sizes=tuple(get("mobility", "groups", dmo.group_sizes)),
-        own_car_prob=get("mobility", "own_car_prob", dmo.own_car_prob),
-        walk_speed=get("mobility", "walk_speed", dmo.walk_speed),
-        drive_speed=get("mobility", "drive_speed", dmo.drive_speed),
-        work_seconds=get("mobility", "work_seconds", dmo.work_seconds),
-        office_pause=get("mobility", "office_pause", dmo.office_pause),
-        evening_prob=get("mobility", "evening_prob", dmo.evening_prob),
-        evening_stay=get("mobility", "evening_stay", dmo.evening_stay),
-        evening_group_size=get("mobility", "evening_group_size",
-                               dmo.evening_group_size),
-        bus_wait=get("mobility", "bus_wait", dmo.bus_wait),
-        bus_lines=get("mobility", "bus_lines", dmo.bus_lines),
-        buses_per_line=get("mobility", "buses_per_line", dmo.buses_per_line),
-        bus_catch_radius=get("mobility", "bus_catch_radius",
-                             dmo.bus_catch_radius),
-    )
-    traffic = TrafficConfig(
-        interval_range=get("traffic", "interval", dtr.interval_range),
-        size_range=get("traffic", "size", dtr.size_range),
-        ttl=get("traffic", "ttl", dtr.ttl),
-        window=get("traffic", "window", dtr.window),
-        copy_limit=get("traffic", "copies", dtr.copy_limit),
-    )
-    radio = RadioConfig(
-        timing=TimingParams(
-            t_scan=get("radio", "scan_time", dra.timing.t_scan),
-            t_rest=get("radio", "rest_time", dra.timing.t_rest),
-            t_ap=get("radio", "ap_time", dra.timing.t_ap),
-            t_connect=get("radio", "connect_time", dra.timing.t_connect)),
-        link=LinkModel(
-            base_speed=get("radio", "base_speed", dra.link.base_speed),
-            range=get("radio", "range", dra.link.range),
-            num_channels=get("radio", "channels", dra.link.num_channels)),
-        p_ap=get("radio", "p_ap", dra.p_ap),
-        client_rescan=get("radio", "client_rescan", dra.client_rescan),
-        switch_ratio=get("radio", "switch_ratio", dra.switch_ratio),
-        ap_idle_timeout=get("radio", "ap_idle_timeout", dra.ap_idle_timeout),
-        ap_max_duration=get("radio", "ap_max_duration", dra.ap_max_duration),
-        stagger=get("radio", "stagger", dra.stagger),
-    )
-    routing = RoutingConfig(
-        router=get("routing", "router", dro.router),
-        buffer_capacity=get("routing", "buffer_capacity", dro.buffer_capacity),
-        summary_refresh=get("routing", "summary_refresh", dro.summary_refresh),
-    )
-    return ScenarioConfig(
-        map=map_cfg, pois=pois, mobility=mobility, traffic=traffic,
-        radio=radio, routing=routing,
-        duration=get("engine", "duration", 86400.0),
-        tick=get("engine", "tick", 1.0),
-    )
+def _convert(section: str, key: str, raw: str):
+    _, conv = _SCHEMA[(section, key)]
+    try:
+        return conv(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Dict[Tuple[str, str], object]:
@@ -271,18 +159,11 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Dict[Tuple[str, 
     values: Dict[Tuple[str, str], object] = {}
     for section in parser.sections():
         for key, raw in parser[section].items():
-            schema_key = (section, key)
-            if schema_key not in _SCHEMA:
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(
                     f"unknown scenario key [{section}] {key!r} in {source}")
-            if raw.strip() == "":
-                continue
-            conv = _SCHEMA[schema_key]
-            try:
-                values[schema_key] = conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+            if raw.strip() != "":
+                values[(section, key)] = _convert(section, key, raw)
     return values
 
 
@@ -297,11 +178,7 @@ def parse_override(text: str) -> Tuple[Tuple[str, str], object]:
     section, key = section.strip(), key.strip()
     if (section, key) not in _SCHEMA:
         raise ConfigError(f"unknown scenario key [{section}] {key!r}")
-    conv = _SCHEMA[(section, key)]
-    try:
-        return (section, key), conv(raw.strip())
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+    return (section, key), _convert(section, key, raw.strip())
 
 
 def rescale_groups(groups: Tuple[int, ...], total: int) -> Tuple[int, ...]:
@@ -356,6 +233,8 @@ def load_scenario(path_or_preset: str,
         groups = values.get(("mobility", "groups"),
                             MobilitySettings().group_sizes)
         values[("mobility", "groups")] = rescale_groups(tuple(groups), nodes)
-    config = mapping_to_config(values)
+    config = ScenarioConfig()
+    for schema_key, value in values.items():
+        config = _replace_at(config, _SCHEMA[schema_key][0], value)
     config.validate()
     return config

@@ -1,10 +1,11 @@
 import pytest
 
+from opposim.engine import ScenarioConfig, Simulation
 from opposim.radio import (
-    LinkModel, Phase, RadioRole, RadioState, TimingParams, VisibleAp,
+    LinkModel, Phase, RadioState, TimingParams, VisibleAp,
     ap_due_retirement, assign_channel, best_ap, effective_bandwidth,
     joiner_bandwidth_estimate, net_initiate_time, net_reinitiate_time,
-    should_switch_ap, step_radio, visible_aps,
+    should_switch_ap, step_radio,
 )
 
 DEFAULTS = TimingParams()
@@ -46,28 +47,48 @@ def ap_state(clients=0, since=0.0):
     return s
 
 
+def scan_world(aps, others=()):
+    """Node 0 scans from the origin. `aps` maps node id -> (position,
+    client count) of access points, raised in the order given; `others`
+    maps node ids to positions of nodes left idle. Every node not named
+    sits far out of range."""
+    n = 1 + max([*aps, *others])
+    positions = [(1000.0 + 100.0 * i, 1000.0) for i in range(n)]
+    positions[0] = (0.0, 0.0)
+    for nid, (pos, _) in aps.items():
+        positions[nid] = pos
+    for nid, pos in dict(others).items():
+        positions[nid] = pos
+    sim = Simulation(ScenarioConfig(), seed=0, static_positions=positions)
+    for nid, (_, clients) in aps.items():
+        sim.radio[nid].phase = Phase.AP
+        sim._ap_created(nid, 0.0)
+        sim.radio[nid].clients = {1000 + i: None for i in range(clients)}
+    return sim
+
+
 class TestScan:
     def test_boundary_inside_range(self):
-        ap = ap_state()
-        vis = visible_aps((0.0, 0.0), [(7, (19.9, 0.0), ap, 1)], LINK)
-        assert [v.node_id for v in vis] == [7]
+        sim = scan_world({7: ((19.9, 0.0), 0)})
+        assert [v.node_id for v in sim._visible_aps(0)] == [7]
 
     def test_boundary_outside_range(self):
-        ap = ap_state()
-        vis = visible_aps((0.0, 0.0), [(7, (20.1, 0.0), ap, 1)], LINK)
-        assert vis == []
+        sim = scan_world({7: ((20.1, 0.0), 0)})
+        assert sim._visible_aps(0) == []
 
     def test_no_aps_in_range(self):
-        idle = RadioState()
-        assert visible_aps((0.0, 0.0), [(3, (1.0, 1.0), idle, 1)], LINK) == []
+        # only nodes in the AP phase are visible
+        sim = scan_world({2: ((2.0, 0.0), 0)}, others={3: (1.0, 1.0)})
+        assert [v.node_id for v in sim._visible_aps(0)] == [2]
+        sim.radio[3].phase = Phase.CLIENT
+        assert [v.node_id for v in sim._visible_aps(0)] == [2]
+        idle_only = scan_world({}, others={3: (1.0, 1.0)})
+        assert idle_only._visible_aps(0) == []
 
     def test_fastest_first_and_tie_break(self):
-        busy = ap_state(clients=3)
-        free = ap_state(clients=0)
-        free2 = ap_state(clients=0)
-        vis = visible_aps((0.0, 0.0), [(9, (5, 0), busy, 1),
-                                       (4, (6, 0), free, 1),
-                                       (2, (7, 0), free2, 1)], LINK)
+        sim = scan_world({9: ((5.0, 0.0), 3), 4: ((6.0, 0.0), 0),
+                          2: ((7.0, 0.0), 0)})
+        vis = sim._visible_aps(0)
         assert [v.node_id for v in vis] == [2, 4, 9]
         assert best_ap(vis).node_id == 2
 
@@ -80,7 +101,7 @@ class TestStepRadio:
         assert s.phase is Phase.BECOMING_AP
         assert s.timer_expiry == 6.0   # become-AP time of 1 s
         step_radio(s, True, [], now=6.0, timing=DEFAULTS)
-        assert s.role is RadioRole.ACCESS_POINT
+        assert s.phase is Phase.AP
 
     def test_connects_when_ap_visible(self):
         s = RadioState()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from opposim.engine import ScenarioConfig, Simulation
 from opposim.routing import (
-    Buffer, PeerSummary, RoutingError, buffer_admit, deliver,
-    epidemic_select, make_policy, snw_select, spray_split, summary_exchange,
-    ttl_sweep,
+    Buffer, PeerSummary, RoutingError, buffer_admit, epidemic_select,
+    make_policy, snw_select, spray_split,
 )
-from opposim.traffic import Message
+from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
 
@@ -83,48 +83,70 @@ class TestBufferAdmit:
             buffer_admit(b, msg(1), 10, now=1.0)
 
 
+def far_apart(n, traffic=None):
+    """A simulation of n static nodes, all out of each other's range."""
+    config = ScenarioConfig(traffic=traffic or TrafficConfig())
+    return Simulation(config, seed=3,
+                      static_positions=[(100.0 * i, 0.0) for i in range(n)])
+
+
+def holding(sim):
+    return {mid for b in sim.buffers for mid in b.entries}
+
+
 class TestTtlSweep:
     def test_boundary_exclusive(self):
-        b = Buffer()
-        buffer_admit(b, msg(1, created=0.0, ttl=86400.0), 10, now=0.0)
-        assert ttl_sweep(b, 86400.0) == []         # age == ttl is retained
-        expired = ttl_sweep(b, 86401.0)
-        assert [e.message.msg_id for e in expired] == [1]
-        assert 1 not in b
+        sim = far_apart(2, TrafficConfig(interval_range=(10.0, 10.0),
+                                         size_range=(MB, MB), ttl=100.0,
+                                         window=(0.0, 15.0)))
+        sim._create_traffic(10.0)
+        assert holding(sim) == {0}
+        sim._expire_messages(110.0)                # age == ttl is retained
+        assert holding(sim) == {0}
+        assert sim.collector.ttl_dropped == 0
+        sim._expire_messages(111.0)
+        assert holding(sim) == set()
+        assert sim.msg_status[0] == "ttl"
+        assert sim.collector.ttl_dropped == 1
 
     def test_mixed_buffer_filter_oracle(self):
-        b = Buffer()
-        rng = np.random.default_rng(3)
-        ages = rng.uniform(0, 2 * 86400, size=30)
-        for i, age in enumerate(ages):
-            buffer_admit(b, msg(i, created=-float(age), ttl=86400.0), 10, now=0.0)
-        expected = sorted(i for i, age in enumerate(ages) if age > 86400.0)
-        removed = sorted(e.message.msg_id for e in ttl_sweep(b, 0.0))
-        assert removed == expected
-        assert sorted(b.entries) == sorted(set(range(30)) - set(expected))
+        sim = far_apart(4, TrafficConfig(interval_range=(1.0, 100.0),
+                                         size_range=(MB, MB), ttl=1000.0,
+                                         window=(0.0, 3000.0)))
+        sim._create_traffic(3000.0)
+        created = {mid: m.created_at for mid, m in sim.messages.items()}
+        assert len(created) > 30
+        now = 2500.0
+        sim._expire_messages(now)
+        expected = {mid for mid, c in created.items() if c + 1000.0 >= now}
+        assert holding(sim) == expected
+        assert sim.collector.ttl_dropped == len(created) - len(expected)
+        assert all((sim.msg_status[mid] == "ttl") == (mid not in expected)
+                   for mid in created)
 
 
 class TestSummaryExchange:
     def test_disjoint_buffers(self):
-        ba, bb = Buffer(), Buffer()
-        buffer_admit(ba, msg(1), 10, 0.0)
-        buffer_admit(bb, msg(2), 10, 0.0)
-        view_b, view_a = summary_exchange(10, ba, set(), 11, bb, set())
-        assert view_b.has == {2} and view_a.has == {1}
-        assert view_b.node_id == 11 and view_a.node_id == 10
+        sim = far_apart(2)
+        buffer_admit(sim.buffers[0], msg(1), 10, 0.0)
+        buffer_admit(sim.buffers[1], msg(2), 10, 0.0)
+        view_b, view_a = sim._summary_of(1), sim._summary_of(0)
+        assert view_b.node_id == 1 and view_a.node_id == 0
+        assert 2 in view_b.has and 1 not in view_b.has
+        assert 1 in view_a.has and 2 not in view_a.has
 
     def test_identical_buffers_empty_wantlists(self):
-        ba, bb = Buffer(), Buffer()
-        for b in (ba, bb):
+        sim = far_apart(2)
+        for b in sim.buffers:
             buffer_admit(b, msg(1), 10, 0.0)
-        view_b, _ = summary_exchange(0, ba, set(), 1, bb, set())
-        assert epidemic_select(ba, view_b) == []
+        assert epidemic_select(sim.buffers[0], sim._summary_of(1)) == []
 
     def test_delivered_ids_count_as_has(self):
-        ba, bb = Buffer(), Buffer()
-        buffer_admit(ba, msg(3, dst=11), 10, 0.0)
-        view_b, _ = summary_exchange(10, ba, set(), 11, bb, {3})
-        assert epidemic_select(ba, view_b) == []
+        sim = far_apart(2)
+        buffer_admit(sim.buffers[0], msg(3, dst=1), 10, 0.0)
+        assert len(epidemic_select(sim.buffers[0], sim._summary_of(1))) == 1
+        sim.delivered[1].add(3)
+        assert epidemic_select(sim.buffers[0], sim._summary_of(1)) == []
 
 
 class TestEpidemicSelect:
@@ -206,6 +228,8 @@ class TestPolicies:
     def test_names_normalize(self):
         assert make_policy("Epidemic").name == "epidemic"
         assert make_policy("SprayAndWait").name == "snw"
+        assert make_policy("spray_and_wait").name == "snw"
+        assert make_policy("Spray-And-Wait").name == "snw"
         assert make_policy("HRSON").name == "hrson"
         with pytest.raises(RoutingError):
             make_policy("prophet")
@@ -216,13 +240,3 @@ class TestPolicies:
         peer = PeerSummary(5, frozenset())
         assert (make_policy("hrson").select_transfers(b, peer)
                 == make_policy("snw").select_transfers(b, peer))
-
-
-class TestDeliver:
-    def test_latency_is_subtraction(self):
-        rec = deliver(msg(1, dst=7, created=100.0), at_node=7, now=250.0)
-        assert rec.latency == 150.0
-
-    def test_wrong_node_rejected(self):
-        with pytest.raises(RoutingError):
-            deliver(msg(1, dst=7), at_node=8, now=10.0)

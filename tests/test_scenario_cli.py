@@ -116,6 +116,14 @@ class TestCli:
         assert (out / "runs.csv").exists()
         assert (out / "aggregate.csv").exists()
 
+    def test_unwritable_report_is_reported_not_raised(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        (out / "runs.csv").mkdir(parents=True)
+        rc = main(["run", "--scenario", "desk", "--duration", "60",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_batch_runs_n_seeds(self, tmp_path):
         out = tmp_path / "res"
         rc = main(["batch", *self.desk_small(tmp_path), "--runs", "3",
