@@ -277,7 +277,6 @@ class Simulation:
         if token_audit:
             self.auditors.append(Simulation._audit_tokens)
         self.audit_interval = audit_interval
-        self.audit_failures: List[str] = []
 
         self.rng_world = stream_rng(seed, "world")
         self.rng_mobility = stream_rng(seed, "mobility")
@@ -295,7 +294,6 @@ class Simulation:
         self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
-        self.in_flight: Set[Tuple[int, int]] = set()     # (sender, msg_id)
         self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
         self.ap_active: Dict[int, Dict[Transfer, None]] = {}
         self.epoch = [0] * n            # bumps invalidate stale radio events
@@ -502,21 +500,26 @@ class Simulation:
                                range(self.n_nodes), self.rng_traffic)
             self.next_msg_id += 1
             self.next_create = next_creation(cfg, created_at, self.rng_traffic)
-            self.collector.on_generated(msg.msg_id)
-            self.messages[msg.msg_id] = msg
-            self.msg_status[msg.msg_id] = "live"
-            self.holders[msg.msg_id] = set()
-            msg.custodians.add(msg.source)
-            ok, evicted = buffer_admit(self.buffers[msg.source], msg,
-                                       msg.copy_limit, t)
-            heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
-            if ok:
-                self.holders[msg.msg_id].add(msg.source)
-                self.collector.on_copy_admitted(msg.source, msg.msg_id, t)
-                self._handle_evictions(msg.source, evicted, t)
-                self._offer_new_message(msg.source, msg, t)
-            else:
-                self._note_copy_gone(msg.msg_id, t)
+            self._inject(msg, t)
+
+    def _inject(self, msg: Message, t: float) -> None:
+        """A new message enters its source's buffer and is offered on the
+        source's open links."""
+        self.collector.on_generated(msg.msg_id)
+        self.messages[msg.msg_id] = msg
+        self.msg_status[msg.msg_id] = "live"
+        self.holders[msg.msg_id] = set()
+        msg.custodians.add(msg.source)
+        ok, evicted = buffer_admit(self.buffers[msg.source], msg,
+                                   msg.copy_limit, t)
+        heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
+        if ok:
+            self.holders[msg.msg_id].add(msg.source)
+            self.collector.on_copy_admitted(msg.source, msg.msg_id, t)
+            self._handle_evictions(msg.source, evicted, t)
+            self._offer_new_message(msg.source, msg, t)
+        else:
+            self._note_copy_gone(msg.msg_id, t)
 
     # -- TTL ---------------------------------------------------------------------
 
@@ -840,7 +843,8 @@ class Simulation:
 
         - custodians and delivered ids only grow, and growth only removes
           offers;
-        - a token return after a refused hand-off calls _offer_new_message;
+        - a refused hand-off bumps the receiver's refusal count, which
+          moves the key, and re-offers the copy on the sender's other links;
         - a transfer that held the sender's copy in flight re-offers it
           when it ends, unless the copy left the buffer;
         - an offer dropped while another holder pushed the same copy to
@@ -884,12 +888,15 @@ class Simulation:
         if link.active is None:
             self._start_next(link, t)
 
-    def _offer_new_message(self, nid: int, msg: Message, t: float) -> None:
-        """A copy held at nid becomes offerable on all its open links."""
+    def _offer_new_message(self, nid: int, msg: Message, t: float,
+                           skip: Optional[Link] = None) -> None:
+        """A copy held at nid becomes offerable on all its open links but
+        `skip`."""
         if self._closing:
             return
         for link in list(self.links[nid].values()):
-            self._offer(link, nid, msg, t)
+            if link is not skip:
+                self._offer(link, nid, msg, t)
 
     def _offer_inbound(self, dst: int, msg: Message, t: float) -> None:
         """Re-surface a message toward dst from any linked holder (offers
@@ -904,7 +911,7 @@ class Simulation:
             _, src, mid = heapq.heappop(link.queue)
             link.queued.discard((src, mid))
             entry = self.buffers[src].get(mid)
-            if entry is None or (src, mid) in self.in_flight:
+            if entry is None or entry.pinned:
                 continue
             if entry.message.expired(t):
                 continue
@@ -917,7 +924,6 @@ class Simulation:
             tr = Transfer(entry.message, src, dst, t, link)
             link.active = tr
             entry.pinned = True
-            self.in_flight.add((src, mid))
             self.in_flight_to.add((dst, mid))
             ap = link.ap
             self.ap_active.setdefault(ap, {})[tr] = None
@@ -963,7 +969,6 @@ class Simulation:
         active.pop(tr, None)
         tr.epoch += 1
         link.active = None
-        self.in_flight.discard((src, msg.msg_id))
         self.in_flight_to.discard((dst, msg.msg_id))
         entry = self.buffers[src].get(msg.msg_id)
         if entry is not None:
@@ -999,7 +1004,10 @@ class Simulation:
                     entry.tokens += tokens    # failed hand-off returns tokens
                 self._note_copy_gone(msg.msg_id, now)
             if entry is not None:
-                self._offer_new_message(src, msg, now)
+                # a refusal bumps refused[dst], so the link's next summary
+                # refresh offers the copy to dst again; a re-send at once
+                # would only be refused again
+                self._offer_new_message(src, msg, now, None if ok else link)
         # refill the freed link, then square up the AP's rates; when the
         # next transfer starts immediately the shared rate is unchanged and
         # nothing needs re-pushing (zero sim time passed in between)
@@ -1014,7 +1022,6 @@ class Simulation:
         tr.epoch += 1
         if link.active is tr:
             link.active = None
-        self.in_flight.discard((tr.src, tr.msg.msg_id))
         self.in_flight_to.discard((tr.dst, tr.msg.msg_id))
         entry = self.buffers[tr.src].get(tr.msg.msg_id)
         if entry is not None:

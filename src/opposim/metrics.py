@@ -88,7 +88,7 @@ class MetricsCollector:
         self.seed = seed
         self.generated_ids: set = set()
         self.delivered_at: Dict[int, float] = {}
-        self.latencies: List[float] = []
+        self.deliveries: List[Tuple[float, float]] = []  # (created, delivered)
         self.relayed = 0
         self.aborted = 0
         self.ttl_dropped = 0
@@ -111,7 +111,7 @@ class MetricsCollector:
         if msg_id in self.delivered_at:
             return False
         self.delivered_at[msg_id] = now
-        self.latencies.append(now - created_at)
+        self.deliveries.append((created_at, now))
         return True
 
     def on_transfer_completed(self) -> None:
@@ -165,8 +165,7 @@ class MetricsCollector:
             expired_copies=self.expired_copies,
         )
         rep.delivery_rate = delivery_rate(rep)
-        rep.avg_latency = (sum(self.latencies) / len(self.latencies)
-                           if self.latencies else None)
+        rep.avg_latency = avg_latency(self.deliveries)
         rep.overhead_ratio = overhead_ratio(rep)
         rep.avg_buffer_time = buffer_time_stats(self.residencies)
         return rep

@@ -133,3 +133,40 @@ class TestOracleEquivalence:
                 assert res.delivered_ids() == set()
             else:
                 assert res.delivered_at[m.msg_id] == pytest.approx(t)
+
+
+class TestEngineRulesOnTraces:
+    """The trace runs on the engine: its TTL, re-offer and per-contact
+    fit rules hold on a schedule too."""
+
+    def test_expired_message_is_not_delivered(self):
+        # node 1 holds the copy from 0.2 s; it expires at 50 s, before the
+        # contact to the destination opens at 60 s
+        contacts = [Contact(0.0, 10.0, 0, 1), Contact(60.0, 100.0, 1, 2)]
+        m = Message(0, 0, 2, MB, 0.0, ttl=50.0, copy_limit=10)
+        res = run_contact_trace(3, contacts, [m], make_policy("epidemic"))
+        assert res.delivered_ids() == set()
+
+    def test_copy_is_offered_again_on_other_open_contacts(self):
+        # contact 0-2 opens while the copy is in flight to node 1; once
+        # that send ends, the copy goes out on 0-2
+        contacts = [Contact(0.0, 0.1, 0, 1), Contact(0.05, 10.0, 0, 2)]
+        messages = [msg(0, 0, 2, size=400_000)]
+        res = run_contact_trace(3, contacts, messages,
+                                make_policy("epidemic"))
+        expect = {m.msg_id for m in messages
+                  if earliest_delivery(3, contacts, m.source, m.destination,
+                                       m.created_at, m.size) is not None}
+        assert expect == {0}
+        assert res.delivered_ids() == expect
+
+    def test_copy_too_long_for_a_contact_waits_for_the_next(self):
+        # 1 MB needs 0.2 s, more than contact 0-1 lasts. Were the copy sent
+        # on it anyway, it would stay pinned until 0.1 s, and 0-2 would then
+        # be too short; skipped, it goes out on 0-2 at 0.05 s
+        contacts = [Contact(0.0, 0.1, 0, 1), Contact(0.05, 0.28, 0, 2)]
+        res = run_contact_trace(3, contacts, [msg(0, 0, 2)],
+                                make_policy("epidemic"))
+        t = earliest_delivery(3, contacts, 0, 2, 0.0, MB)
+        assert t == pytest.approx(0.25)
+        assert res.delivered_at[0] == pytest.approx(t)

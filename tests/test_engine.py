@@ -330,6 +330,16 @@ class TestSummaryRefresh:
         # no buffer changed, yet node 2 offers its copy to node 0 again
         assert (2, 0, [0]) in spy.scans_by_node(sim)
 
+    def test_refused_copy_is_not_sent_again_at_once(self):
+        sim, _ = self.setup_sim(holders=(1,))
+        sim.buffers[0].capacity = MB // 2     # node 0 turns the copy down
+        sim._establish_link(0, 1, 0.0)
+        sim._transfer_step(0.0, 10.0)
+        # one send and one refusal; the copy waits for the next refresh
+        assert sim.collector.relayed == 1
+        assert sim.refused[0] == 1
+        assert sim.links[0][1].active is None
+
     def test_unchanged_buffers_skip_the_rescan(self):
         sim, spy = self.setup_sim(holders=(0, 1), n_nodes=3)
         sim._establish_link(0, 1, 0.0)
