@@ -14,7 +14,8 @@ before the contact ends is not sent on it. Transfers are serial within a
 contact; a contact closing mid-transfer discards the partial bytes.
 Overlapping contacts of one pair share a link at the first contact's
 bandwidth until the last of them ends. TTL expiry is applied at each
-schedule event. Control summaries are free, as in the full engine.
+schedule event, and a send that ends after its message's TTL hands
+nothing over. Control summaries are free, as in the full engine.
 """
 
 from __future__ import annotations

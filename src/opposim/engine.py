@@ -33,8 +33,8 @@ from .radio import (LinkModel, Phase, RadioState, TimingParams, VisibleAp,
                     ap_due_retirement, assign_channel,
                     joiner_bandwidth_estimate, member_bandwidth_estimate,
                     should_switch_ap, step_radio)
-from .routing import (Buffer, HasView, PeerSummary, RouterPolicy,
-                      buffer_admit, make_policy, spray_split)
+from .routing import (Buffer, HasView, PeerSummary, PlannedSend,
+                      RouterPolicy, buffer_admit, make_policy, spray_split)
 from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
@@ -257,38 +257,59 @@ def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
             (x1, y0), (x1, cy), (x1, y1))
 
 
+# World state a routing plane shares with the leader of its world: map,
+# mobility, radio roles, spatial grids and the world's random streams and
+# event heaps. Everything else on a Simulation is the plane's own.
+_WORLD_ATTRS = ("timing", "link_model", "policy_table", "rng_world",
+                "rng_mobility", "rng_radio", "rng_policy", "n_nodes", "graph",
+                "model", "scripted_moves", "radio", "epoch", "radio_events",
+                "mobility_events", "cell_size", "grid", "ap_grid", "ap_near",
+                "cellver", "node_cell", "pos", "moving", "client_scan_key")
+
+
 class Simulation:
+    """One world (mobility and radio) and one or more routing planes on it.
+
+    A plain Simulation is a world with itself as its only plane. Passing
+    `world=leader` builds a follower plane instead: it shares the leader's
+    world and holds its own buffers, links, transfers, messages, traffic
+    stream and metrics. Its config may differ from the leader's in
+    `traffic` only. The leader's run() drives every plane; it returns the
+    leader's report and leaves each plane's on its `report`. The world
+    never reads routing state, so every plane's report equals a run of
+    its config alone."""
+
     def __init__(self, config: ScenarioConfig, seed: int,
                  static_positions: Optional[Sequence[Tuple[float, float]]] = None,
                  policy_table: Optional[Dict[int, RouterPolicy]] = None,
                  scripted_moves: Optional[Sequence[Tuple[float, int, Tuple[float, float]]]] = None,
                  auditors: Optional[Sequence[Callable]] = None,
                  audit_interval: float = 100.0,
-                 token_audit: bool = False):
+                 token_audit: bool = False,
+                 world: Optional[Simulation] = None):
         config.validate()
         self.config = config
         self.seed = int(seed)
-        self.timing = config.radio.timing
-        self.link_model = config.radio.link
         self.policy = make_policy(config.routing.router, config.radio.p_ap)
-        self.policy_table = policy_table or {}
         self.collector = MetricsCollector(self.seed)
+        self.report: Optional[MetricsReport] = None
         self.auditors = list(auditors or [])
         if token_audit:
             self.auditors.append(Simulation._audit_tokens)
         self.audit_interval = audit_interval
-
-        self.rng_world = stream_rng(seed, "world")
-        self.rng_mobility = stream_rng(seed, "mobility")
         self.rng_traffic = stream_rng(seed, "traffic")
-        self.rng_radio = stream_rng(seed, "radio")
-        self.rng_policy = stream_rng(seed, "policy")
 
-        self._build_world(static_positions)
-        self.scripted_moves = sorted(scripted_moves or [])
+        if world is None:
+            # the followers hold no reference back, so no plane is in a cycle
+            self.followers: Optional[List[Simulation]] = []
+            self._build_world(static_positions, policy_table, scripted_moves)
+        else:
+            if (static_positions, policy_table, scripted_moves) != (None,) * 3:
+                raise ConfigError("a routing plane takes its world's "
+                                  "placement, policies and moves")
+            self._join(world)
 
         n = self.n_nodes
-        self.radio: List[RadioState] = [RadioState() for _ in range(n)]
         self.buffers: List[Buffer] = [Buffer(config.routing.buffer_capacity)
                                       for _ in range(n)]
         self.refused = [0] * n          # admissions each node turned down
@@ -296,13 +317,9 @@ class Simulation:
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
         self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
         self.ap_active: Dict[int, Dict[Transfer, None]] = {}
-        self.epoch = [0] * n            # bumps invalidate stale radio events
 
-        # event plumbing
-        self.clock = 0.0
+        # the plane's event heaps; _seq breaks their ties
         self._seq = 0
-        self.radio_events: List[Tuple[float, int, int, str, int]] = []
-        self.mobility_events: List[Tuple[float, int]] = []
         self.transfer_events: List[Tuple[float, int, Transfer, int]] = []
         self.ttl_events: List[Tuple[float, int]] = []
         self.refresh_events: List[Tuple[float, int, Link]] = []
@@ -315,10 +332,38 @@ class Simulation:
         self.next_create: Optional[float] = None
         self._closing = False
 
+        self._init_traffic()
+
+    # -- construction ---------------------------------------------------------
+
+    def _build_world(self, static_positions, policy_table,
+                     scripted_moves) -> None:
+        cfg = self.config
+        seed = self.seed
+        self.timing = cfg.radio.timing
+        self.link_model = cfg.radio.link
+        self.policy_table = policy_table or {}
+        self.rng_world = stream_rng(seed, "world")
+        self.rng_mobility = stream_rng(seed, "mobility")
+        self.rng_radio = stream_rng(seed, "radio")
+        self.rng_policy = stream_rng(seed, "policy")
+        self._build_model(static_positions)
+        self.scripted_moves = sorted(scripted_moves or [])
+
+        n = self.n_nodes
+        self.radio: List[RadioState] = [RadioState() for _ in range(n)]
+        self.epoch = [0] * n            # bumps invalidate stale radio events
+        self.clock = 0.0
+        self._radio_seq = 0
+        self.radio_events: List[Tuple[float, int, int, str, int]] = []
+        self.mobility_events: List[Tuple[float, int]] = []
+
         # spatial hash: every node in `grid`, AP-role nodes also in `ap_grid`
         self.cell_size = self.link_model.range
         self.grid: Dict[Tuple[int, int], Dict[int, None]] = {}
         self.ap_grid: Dict[Tuple[int, int], Dict[int, None]] = {}
+        # AP -> the other APs within range; empty for every other node
+        self.ap_near: List[Set[int]] = [set() for _ in range(n)]
         self.cellver: Dict[Tuple[int, int], int] = {}
         self.node_cell: List[Tuple[int, int]] = [(-1, -1)] * n
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
@@ -327,11 +372,21 @@ class Simulation:
 
         self._init_positions()
         self._init_radio()
-        self._init_traffic()
 
-    # -- construction ---------------------------------------------------------
+    def _join(self, world: Simulation) -> None:
+        if world.followers is None or world.clock > 0.0:
+            raise ConfigError("a routing plane joins the leader of a world "
+                              "that has not started running")
+        if (self.seed != world.seed or dataclasses.replace(
+                self.config, traffic=world.config.traffic) != world.config):
+            raise ConfigError("a routing plane shares its world's seed and "
+                              "every setting but traffic")
+        for name in _WORLD_ATTRS:
+            setattr(self, name, getattr(world, name))
+        self.followers = None
+        world.followers.append(self)
 
-    def _build_world(self, static_positions) -> None:
+    def _build_model(self, static_positions) -> None:
         cfg = self.config
         if static_positions is not None:
             self.n_nodes = len(static_positions)
@@ -382,10 +437,14 @@ class Simulation:
 
     # -- small helpers ----------------------------------------------------------
 
+    def _planes(self) -> Tuple[Simulation, ...]:
+        """The routing planes on this world, this one first."""
+        return (self, *self.followers)
+
     def _push_radio(self, time: float, nid: int, kind: str) -> None:
-        self._seq += 1
+        self._radio_seq += 1
         heapq.heappush(self.radio_events,
-                       (time, nid, self._seq, kind, self.epoch[nid]))
+                       (time, nid, self._radio_seq, kind, self.epoch[nid]))
 
     def _bump_cell(self, cell: Tuple[int, int]) -> None:
         self.cellver[cell] = self.cellver.get(cell, 0) + 1
@@ -414,13 +473,24 @@ class Simulation:
 
     def _co_channel_count(self, nid: int) -> int:
         """APs within range of this AP sharing its channel, incl. itself."""
-        channel = self.radio[nid].channel
         radio = self.radio
+        channel = radio[nid].channel
         count = 1
-        for other in self._neighbors(nid, self.ap_grid):
+        for other in self.ap_near[nid]:
             if radio[other].channel == channel:
                 count += 1
         return count
+
+    def _set_ap_near(self, nid: int, near) -> None:
+        """Record `near` as the APs in range of AP nid, on both sides."""
+        ap_near = self.ap_near
+        old = ap_near[nid]
+        new = set(near)
+        for other in old - new:
+            ap_near[other].discard(nid)
+        for other in new - old:
+            ap_near[other].add(nid)
+        ap_near[nid] = new
 
     def _visible_aps(self, nid: int) -> List[VisibleAp]:
         out = []
@@ -435,10 +505,16 @@ class Simulation:
     # -- run loop ----------------------------------------------------------------
 
     def run(self) -> MetricsReport:
+        """Run the world and all its planes; returns this plane's report."""
+        if self.followers is None:
+            raise ConfigError("a follower plane runs in its leader's run()")
         cfg = self.config
         tick = cfg.tick
         end = cfg.duration
-        self._next_audit = self.audit_interval if self.auditors else math.inf
+        planes = self._planes()
+        for plane in planes:
+            plane._next_audit = (plane.audit_interval if plane.auditors
+                                 else math.inf)
         self._move_idx = 0
         day = 1
         while self.clock < end:
@@ -454,41 +530,55 @@ class Simulation:
                 if isinstance(self.model, StaticMobility):
                     self.model.positions[nid] = tuple(newpos)
                 self._apply_move(nid, tuple(newpos), t)
-            self._expire_messages(t)
-            self._create_traffic(t)
+            for plane in planes:
+                plane._expire_messages(t)
+                plane._create_traffic(t)
             self._mobility_step(t)
             self._radio_step(t)
-            self._refresh_step(t)
-            self._transfer_step(t, t + tick)
-            while t >= self._next_audit:
-                for aud in self.auditors:
-                    aud(self, t)
-                self._next_audit += self.audit_interval
-            self.clock = self._next_tick(t, tick, end, day)
-        return self._finalize(end)
+            for plane in planes:
+                plane._refresh_step(t)
+                plane._transfer_step(t, t + tick)
+                while t >= plane._next_audit:
+                    for aud in plane.auditors:
+                        aud(plane, t)
+                    plane._next_audit += plane.audit_interval
+            self.clock = self._next_tick(t, tick, end, day, planes)
+        for plane in planes:
+            plane.report = plane._finalize(end)
+        return self.report
 
-    def _next_tick(self, t: float, tick: float, end: float, day: int) -> float:
+    def _next_tick(self, t: float, tick: float, end: float, day: int,
+                   planes: Sequence[Simulation]) -> float:
         nxt = t + tick
         if self.moving or self._move_idx < len(self.scripted_moves):
             return nxt
         # idle fast-forward: jump to the earliest pending event
-        horizon = end
-        if self.auditors:
-            horizon = min(horizon, self._next_audit)
-        for heap in (self.radio_events, self.mobility_events, self.ttl_events,
-                     self.refresh_events):
+        horizon = min(end, day * DAY)
+        for heap in (self.radio_events, self.mobility_events):
             if heap:
                 horizon = min(horizon, heap[0][0])
-        if self.transfer_events:
-            horizon = min(horizon, self.transfer_events[0][0])
-        if self.next_create is not None:
-            horizon = min(horizon, self.next_create)
-        horizon = min(horizon, day * DAY)
+        for plane in planes:
+            horizon = min(horizon, plane._horizon(tick))
         if horizon <= nxt:
             return nxt
         # land on the tick grid at or before the horizon
         steps = math.floor((horizon - t) / tick)
         return t + max(1, steps) * tick
+
+    def _horizon(self, tick: float) -> float:
+        """The earliest tick this plane needs visited. A send counts at
+        `finish - tick`: the tick whose window (t, t + tick] first holds its
+        finish, so it completes before that tick's radio step whichever
+        ticks other events make the loop visit."""
+        horizon = self._next_audit
+        for heap in (self.ttl_events, self.refresh_events):
+            if heap:
+                horizon = min(horizon, heap[0][0])
+        if self.transfer_events:
+            horizon = min(horizon, self.transfer_events[0][0] - tick)
+        if self.next_create is not None:
+            horizon = min(horizon, self.next_create)
+        return horizon
 
     # -- traffic -----------------------------------------------------------------
 
@@ -574,23 +664,26 @@ class Simulation:
         old_cell = self.node_cell[nid]
         new_cell = (int(newpos[0] // self.cell_size),
                     int(newpos[1] // self.cell_size))
-        state = self.radio[nid]
+        is_ap = self.radio[nid].phase is Phase.AP
         if new_cell != old_cell:
             self.grid[old_cell].pop(nid, None)
             self.grid.setdefault(new_cell, {})[nid] = None
             self.node_cell[nid] = new_cell
-            if state.phase is Phase.AP:
+            if is_ap:
                 self._ap_grid_remove(nid, old_cell)
                 self.ap_grid.setdefault(new_cell, {})[nid] = None
         self._bump_cell(old_cell)
         if new_cell != old_cell:
             self._bump_cell(new_cell)
+        if is_ap:
+            self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
         self._check_links_of(nid, t)
-        if state.phase is Phase.AP:
+        if is_ap:
             # a moving AP drags co-channel interference along with it
-            if self.ap_active.get(nid):
-                self._settle_ap(nid, t)
-            self._resettle_neighborhood(nid, t)
+            for plane in self._planes():
+                if plane.ap_active.get(nid):
+                    plane._settle_ap(nid, t)
+            self._resettle_neighborhood(nid, self.ap_near[nid], t)
 
     def _check_links_of(self, nid: int, t: float) -> None:
         """Immediate link teardown on range exit, both roles."""
@@ -651,33 +744,39 @@ class Simulation:
 
     def _ap_created(self, nid: int, t: float) -> None:
         state = self.radio[nid]
-        nearby = [self.radio[o].channel
-                  for o in self._neighbors(nid, self.ap_grid)]
-        state.channel = assign_channel(nearby, self.link_model.num_channels)
+        near = self._neighbors(nid, self.ap_grid)
+        state.channel = assign_channel([self.radio[o].channel for o in near],
+                                       self.link_model.num_channels)
         state.clients = {}
-        self.ap_active[nid] = {}
+        for plane in self._planes():
+            plane.ap_active[nid] = {}
         cell = self.node_cell[nid]
         self.ap_grid.setdefault(cell, {})[nid] = None
+        self._set_ap_near(nid, near)
         self._bump_cell(cell)
         self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
         self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
-        self._resettle_neighborhood(nid, t)
+        self._resettle_neighborhood(nid, near, t)
 
-    def _resettle_neighborhood(self, nid: int, t: float) -> None:
-        """Re-derive rates of APs near a changed AP (channel landscape).
+    def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
+        """Re-derive rates of the APs in `near`, those in range of a changed
+        AP nid (channel landscape), on every plane.
 
         Settle order assigns the `_seq` tie-breaks of transfer completions.
         The order is the full grid's: cell by cell, and within a cell the
-        order in which nodes entered it. `ap_grid` does not keep that
-        order, so it only finds the busy APs; two or more are put back in
+        order in which nodes entered it. `near` does not keep that order,
+        so it only finds the busy APs; two or more are put back in
         full-grid order."""
-        ap_active = self.ap_active
-        busy = [o for o in self._neighbors(nid, self.ap_grid)
-                if ap_active.get(o)]
-        if len(busy) > 1:
-            busy = [o for o in self._neighbors(nid, self.grid) if o in busy]
-        for other in busy:
-            self._settle_ap(other, t)
+        order = None
+        for plane in self._planes():
+            ap_active = plane.ap_active
+            busy = [o for o in near if ap_active.get(o)]
+            if len(busy) > 1:
+                if order is None:
+                    order = self._neighbors(nid, self.grid)
+                busy = [o for o in order if o in busy]
+            for other in busy:
+                plane._settle_ap(other, t)
 
     def _apcheck_event(self, nid: int, t: float) -> None:
         state = self.radio[nid]
@@ -694,14 +793,17 @@ class Simulation:
         state = self.radio[nid]
         for client in sorted(state.clients):
             self._detach_client(client, t, rescan=True, ap_alive=False)
-        self.ap_active.pop(nid, None)
+        for plane in self._planes():
+            plane.ap_active.pop(nid, None)
         self.epoch[nid] += 1
         state.reset_to_scan(t, self.timing)
         self._push_radio(state.timer_expiry, nid, "phase")
         cell = self.node_cell[nid]
         self._ap_grid_remove(nid, cell)
+        near = self.ap_near[nid]
+        self._set_ap_near(nid, ())
         self._bump_cell(cell)
-        self._resettle_neighborhood(nid, t)
+        self._resettle_neighborhood(nid, near, t)
 
     def _ap_grid_remove(self, nid: int, cell: Tuple[int, int]) -> None:
         bucket = self.ap_grid[cell]
@@ -731,7 +833,8 @@ class Simulation:
         self._bump_cell(self.node_cell[target])
         self.client_scan_key.pop(nid, None)
         self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
-        self._establish_link(target, nid, t)
+        for plane in self._planes():
+            plane._establish_link(target, nid, t)
 
     def _detach_client(self, nid: int, t: float, rescan: bool,
                        ap_alive: bool = True) -> None:
@@ -740,9 +843,10 @@ class Simulation:
         if ap is None:
             return
         state.attached_ap = None
-        link = self.links[nid].get(ap)
-        if link is not None:
-            self._close_link(link, t)
+        for plane in self._planes():
+            link = plane.links[nid].get(ap)
+            if link is not None:
+                plane._close_link(link, t)
         if ap_alive:
             apstate = self.radio[ap]
             apstate.clients.pop(nid, None)
@@ -883,8 +987,8 @@ class Simulation:
         if not self._policy_for(src).eligible(entry, self._summary_of(dst)):
             return
         self._enqueue(link, src, msg.msg_id,
-                      (0 if msg.destination == dst else 1, msg.created_at,
-                       msg.msg_id))
+                      PlannedSend(msg.msg_id, msg.destination == dst,
+                                  msg.created_at).sort_key())
         if link.active is None:
             self._start_next(link, t)
 
@@ -957,7 +1061,12 @@ class Simulation:
             finish, _, tr, epoch = heapq.heappop(events)
             if epoch != tr.epoch or tr.link.active is not tr:
                 continue
-            self._complete_transfer(tr, finish)
+            if tr.msg.expired(finish):
+                # the message died in flight: nothing is handed over
+                self._abort_transfer(tr, finish)
+                self._start_next(tr.link, finish)
+            else:
+                self._complete_transfer(tr, finish)
 
     def _complete_transfer(self, tr: Transfer, now: float) -> None:
         link = tr.link
@@ -1092,9 +1201,29 @@ def run(config: ScenarioConfig, seed: int, **kwargs) -> MetricsReport:
     return Simulation(config, seed, **kwargs).run()
 
 
-def _run_star(args) -> MetricsReport:
-    config, seed, token_audit = args
-    return run(config, seed, token_audit=token_audit)
+def _run_planes(task) -> List[MetricsReport]:
+    """Reports of configs that differ only in traffic, run as routing
+    planes on one world."""
+    configs, seed, token_audit = task
+    leader = Simulation(configs[0], seed, token_audit=token_audit)
+    for config in configs[1:]:
+        Simulation(config, seed, token_audit=token_audit, world=leader)
+    leader.run()
+    return [plane.report for plane in leader._planes()]
+
+
+def _run_tasks(tasks: Sequence, workers: Optional[int]
+               ) -> List[List[MetricsReport]]:
+    """_run_planes over every task: in one process pool, or in the caller
+    for a single task or a single worker."""
+    if workers is None:
+        workers = min(len(tasks), os.cpu_count() or 1)
+    if workers <= 1 or len(tasks) == 1:
+        return [_run_planes(task) for task in tasks]
+    import multiprocessing as mp
+    ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
+    with ctx.Pool(min(workers, len(tasks))) as pool:
+        return pool.map(_run_planes, tasks, chunksize=1)
 
 
 def run_batch(config: ScenarioConfig, seeds: Sequence[int],
@@ -1104,16 +1233,8 @@ def run_batch(config: ScenarioConfig, seeds: Sequence[int],
     if not seeds:
         raise ConfigError("need at least one seed")
     config.validate()
-    seeds = [int(s) for s in seeds]
-    if workers is None:
-        workers = min(len(seeds), os.cpu_count() or 1)
-    if workers <= 1 or len(seeds) == 1:
-        return [run(config, s, token_audit=token_audit) for s in seeds]
-    import multiprocessing as mp
-    ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
-    with ctx.Pool(workers) as pool:
-        reports = pool.map(_run_star, [(config, s, token_audit) for s in seeds])
-    return reports
+    tasks = [([config], int(s), token_audit) for s in seeds]
+    return [reports[0] for reports in _run_tasks(tasks, workers)]
 
 
 SWEEP_PARAMETERS = ("traffic_interval", "ttl", "copies", "homes")
@@ -1145,11 +1266,33 @@ def sweep(config: ScenarioConfig, parameter: str, values: Sequence,
           seeds: Sequence[int], workers: Optional[int] = None,
           token_audit: bool = False,
           ) -> List[Tuple[object, List[MetricsReport]]]:
-    """One batch per swept value, all other parameters fixed."""
+    """One batch per swept value, all other parameters fixed.
+
+    Values whose configs differ only in traffic share one world per seed,
+    each as a routing plane of it (see Simulation); a `homes` value is a
+    world of its own. Every (world, seed) pair is one task, and all tasks
+    share one pool. Reports equal independent runs of each value."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    rows = []
-    for value in values:
-        derived = apply_sweep_value(config, parameter, value)
-        rows.append((value, run_batch(derived, seeds, workers, token_audit)))
-    return rows
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    seeds = [int(s) for s in seeds]
+    derived = [apply_sweep_value(config, parameter, v) for v in values]
+    groups: List[List[int]] = []      # indices of values sharing a world
+    for i, cfg in enumerate(derived):
+        for group in groups:
+            head = derived[group[0]]
+            if dataclasses.replace(cfg, traffic=head.traffic) == head:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    tasks = [([derived[i] for i in group], seed, token_audit)
+             for group in groups for seed in seeds]
+    results = iter(_run_tasks(tasks, workers))
+    by_value: List[List[MetricsReport]] = [[] for _ in values]
+    for group in groups:
+        for _ in seeds:
+            for i, report in zip(group, next(results)):
+                by_value[i].append(report)
+    return list(zip(values, by_value))

@@ -170,3 +170,11 @@ class TestEngineRulesOnTraces:
         t = earliest_delivery(3, contacts, 0, 2, 0.0, MB)
         assert t == pytest.approx(0.25)
         assert res.delivered_at[0] == pytest.approx(t)
+
+    def test_copy_finishing_after_its_ttl_is_not_handed_over(self):
+        # the 1 MB send ends at 0.2 s, after the 0.1 s TTL: it is aborted
+        m = Message(0, 0, 1, MB, 0.0, ttl=0.1, copy_limit=10)
+        res = run_contact_trace(2, [Contact(0.0, 10.0, 0, 1)], [m],
+                                make_policy("epidemic"))
+        assert res.delivered_ids() == set()
+        assert (res.completed, res.aborted) == (0, 1)

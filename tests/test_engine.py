@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -252,6 +253,38 @@ class TestEngineInvariants:
         sim.run()
         assert violations == []
 
+    def test_co_channel_count_matches_a_full_scan(self):
+        # the AP neighbour table against a scan of every AP pair, through
+        # a lively run in which APs come, go and ride along on the commute
+        cfg = desk_config(interval=(20.0, 40.0), duration=36000.0)
+        mismatches = []
+        crowded = []
+
+        def auditor(sim, t):
+            r2 = sim.link_model.range ** 2
+            aps = [n for n in range(sim.n_nodes)
+                   if sim.radio[n].phase is Phase.AP]
+            for ap in aps:
+                ax, ay = sim.pos[ap]
+                near = {o for o in aps if o != ap
+                        and (sim.pos[o][0] - ax) ** 2
+                        + (sim.pos[o][1] - ay) ** 2 <= r2}
+                same = sum(1 for o in near
+                           if sim.radio[o].channel == sim.radio[ap].channel)
+                if near:
+                    crowded.append(t)
+                if (sim._co_channel_count(ap) != 1 + same
+                        or sim.ap_near[ap] != near):
+                    mismatches.append((t, ap))
+            for n in range(sim.n_nodes):
+                if n not in aps and sim.ap_near[n]:
+                    mismatches.append((t, n))
+
+        sim = Simulation(cfg, seed=21, auditors=[auditor], audit_interval=2.0)
+        sim.run()
+        assert crowded, "no two APs were ever in range of each other"
+        assert mismatches == []
+
     def test_desk_day_completes_quickly(self):
         import time
         cfg = desk_config(duration=86400.0, interval=(120.0, 180.0))
@@ -356,6 +389,96 @@ class TestSummaryRefresh:
         assert buffer_admit(sim.buffers[1], extra, 10, 0.0)[0]
         sim._refresh_step(2 * refresh)
         assert sorted(spy.scans_by_node(sim)) == [(0, 1, []), (1, 0, [1])]
+
+
+class TestTransferTick:
+    """A send that ends exactly on a tick completes in the window that
+    holds its end, before that tick's radio step, whatever else happens."""
+
+    def run_sim(self, interval, far_node=False, world=None):
+        cfg = dataclasses.replace(
+            scripted_config(duration=900.0, window=(0.0, 700.0),
+                            interval=interval),
+            traffic=TrafficConfig(interval_range=interval,
+                                  size_range=(10 * MB, 10 * MB),
+                                  ttl=86400.0, window=(0.0, 700.0),
+                                  copy_limit=10))
+        if world is not None:
+            return Simulation(cfg, seed=3, world=world)
+        positions = [(0.0, 0.0), (5.0, 0.0)]
+        policies = {0: AlwaysAp(), 1: NeverAp()}
+        if far_node:                   # out of range, touches nothing
+            positions.append((500.0, 500.0))
+            policies[2] = NeverAp()
+        return Simulation(cfg, seed=3, static_positions=positions,
+                          policy_table=policies)
+
+    @pytest.mark.parametrize("far_node", [False, True])
+    def test_send_ending_as_the_ap_retires_completes(self, far_node):
+        # the message appears at 604 s and its 2 s send ends at 606 s, the
+        # tick on which the AP (up since 6 s) reaches its 600 s limit
+        report = self.run_sim((604.0, 604.0), far_node).run()
+        assert (report.generated, report.delivered) == (1, 1)
+        assert report.aborted == 0
+        assert report.avg_latency == pytest.approx(2.0)
+
+    def test_planes_match_solo_runs(self):
+        # the follower's creation at 604.5 s makes the loop visit 605 s,
+        # which a solo run of the leader skips
+        leader = self.run_sim((604.0, 604.0))
+        follower = self.run_sim((604.5, 604.5), world=leader)
+        leader.run()
+        assert leader.report == self.run_sim((604.0, 604.0)).run()
+        assert follower.report == self.run_sim((604.5, 604.5)).run()
+
+
+class TestPlanes:
+    def test_follower_must_share_the_world(self):
+        cfg = desk_config(duration=900.0)
+        leader = Simulation(cfg, seed=1)
+        with pytest.raises(ConfigError):
+            Simulation(cfg, seed=2, world=leader)
+        with pytest.raises(ConfigError):
+            Simulation(desk_config(duration=900.0, router="snw"), seed=1,
+                       world=leader)
+        follower = Simulation(apply_sweep_value(cfg, "copies", 4), seed=1,
+                              world=leader)
+        with pytest.raises(ConfigError):
+            Simulation(cfg, seed=1, world=follower)
+        with pytest.raises(ConfigError):
+            follower.run()
+        leader.run()
+        with pytest.raises(ConfigError):
+            Simulation(cfg, seed=1, world=leader)
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("copies", [2, 8, 4]),
+        ("ttl", [1800.0, 7200.0]),
+        ("traffic_interval", [(30.0, 60.0), (60.0, 120.0)]),
+        ("homes", [(3, 3), (6, 6)]),
+    ])
+    def test_sweep_equals_independent_runs(self, parameter, values):
+        cfg = desk_config(router="snw", duration=5400.0)
+        seeds = [1, 2, 3]
+        expected = [(v, [run(apply_sweep_value(cfg, parameter, v), s,
+                             token_audit=True) for s in seeds])
+                    for v in values]
+        for workers in (1, 2):
+            assert sweep(cfg, parameter, values, seeds, workers=workers,
+                         token_audit=True) == expected
+
+    def test_sweep_leaves_no_simulation_for_the_collector(self):
+        # planes hold no reference cycle, so a sweep's simulations are
+        # freed as soon as it returns, without a garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            sweep(desk_config(router="snw", duration=1800.0), "copies",
+                  [2, 4, 8], [1], workers=1)
+            left = [o for o in gc.get_objects() if isinstance(o, Simulation)]
+        finally:
+            gc.enable()
+        assert left == []
 
 
 class TestBatchAndSweep:
