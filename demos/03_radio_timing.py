@@ -11,18 +11,7 @@ import dataclasses
 from opposim.engine import RadioConfig, ScenarioConfig, Simulation
 from opposim.radio import (Phase, TimingParams, net_initiate_time,
                            net_reinitiate_time)
-from opposim.routing import EpidemicPolicy
 from opposim.traffic import TrafficConfig
-
-
-class AlwaysAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return True
-
-
-class NeverAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return False
 
 
 timing = TimingParams()
@@ -43,7 +32,7 @@ config = ScenarioConfig(
 # Two phones side by side, radios cold. Watch the roles unfold.
 sim = Simulation(config, seed=1,
                  static_positions=[(0.0, 0.0), (5.0, 0.0)],
-                 policy_table={0: AlwaysAp(), 1: NeverAp()})
+                 ap_gate={0: True, 1: False})
 history = []
 sim.auditors = [lambda s, t: history.append((t, s.radio[0].phase,
                                              s.radio[1].phase))]
@@ -57,7 +46,7 @@ for t, p0, p1 in history[:20]:
     if state not in seen:
         seen.add(state)
         print(f"   t={t:5.1f} s  {p0.name:12s} {p1.name:12s}")
-delivered = list(sim.collector.delivered_at.values())
+delivered = list(sim.planes[0].collector.delivered_at.values())
 print(f"first message delivered at t={delivered[0]:.2f} s "
       f"(16 s link build + 0.2 s for 1 MB at 5 MB/s)")
 
@@ -67,7 +56,7 @@ sim2 = Simulation(dataclasses.replace(config, traffic=TrafficConfig(
                       interval_range=(100.0, 100.0), window=(0.0, 1.0))),
                   seed=1,
                   static_positions=[(0.0, 0.0), (5.0, 0.0), (22.0, 0.0)],
-                  policy_table={0: AlwaysAp(), 1: NeverAp(), 2: AlwaysAp()},
+                  ap_gate={0: True, 1: False, 2: True},
                   scripted_moves=[(40.0, 0, (5000.0, 5000.0))])
 gaps = []
 sim2.auditors = [lambda s, t: gaps.append((t, s.radio[1].phase is Phase.CLIENT))]

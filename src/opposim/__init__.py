@@ -8,7 +8,7 @@ spray-and-wait, and home-gated spray-and-wait).
 """
 
 from .contacts import Contact, run_contact_trace
-from .engine import (MapConfig, PoiConfig, RadioConfig, RoutingConfig,
+from .engine import (MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
                      ScenarioConfig, Simulation, run, run_batch, sweep)
 from .map_graph import (PoiKind, PointOfInterest, RoadGraph, SegmentLayout,
                         parse_map, place_pois, serialize_map, shortest_path,
@@ -19,8 +19,8 @@ from .mobility import (Activity, MobilityModel, MobilitySettings, NodeProfile,
 from .radio import (LinkModel, RadioState, TimingParams, assign_channel,
                     effective_bandwidth, net_initiate_time,
                     net_reinitiate_time)
-from .routing import (Buffer, RouterPolicy, buffer_admit, epidemic_select,
-                      make_policy, snw_select, spray_split)
+from .routing import (Buffer, RouterPolicy, buffer_admit, make_policy,
+                      spray_split)
 from .scenario import load_scenario, serialize_scenario
 from .traffic import (Message, TrafficConfig, expected_count, make_message,
                       next_creation)

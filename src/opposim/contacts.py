@@ -6,8 +6,8 @@ for studying routing behavior against known reachability structure: a
 message can only travel along time-respecting contact chains with enough
 per-contact capacity.
 
-The trace runs on the engine itself: each open contact is an engine link,
-and offers, queueing, custody hand-off, aborts, re-offers on a sender's
+The trace runs on the engine itself, as a routing plane with no world:
+each open contact is one of the plane's links, and offers, queueing, custody hand-off, aborts, re-offers on a sender's
 other links and TTL expiry are the engine's own. Only the pipe differs:
 a transfer runs at its contact's bandwidth, and a copy that cannot finish
 before the contact ends is not sent on it. Transfers are serial within a
@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .engine import (Link, RoutingConfig, ScenarioConfig, Simulation,
-                     Transfer)
+from .engine import Link, Plane, RoutingConfig, ScenarioConfig, Transfer
 from .routing import RouterPolicy
 from .traffic import Message
 
@@ -54,16 +53,15 @@ class ContactTraceResult:
 _OPEN, _CREATE, _CLOSE = 0, 1, 2     # their order at equal times
 
 
-class _TraceSimulation(Simulation):
-    """The engine with no radio or mobility: links open and close on the
+class _TracePlane(Plane):
+    """A routing plane with no world: links open and close on the
     schedule, and each runs as its own pipe."""
 
     def __init__(self, n_nodes: int, policy: RouterPolicy,
                  buffer_capacity: int):
         config = ScenarioConfig(routing=RoutingConfig(
             buffer_capacity=buffer_capacity, summary_refresh=0.0))
-        super().__init__(config, seed=0,
-                         static_positions=[(0.0, 0.0)] * n_nodes)
+        super().__init__(config, 0, n_nodes)
         self.policy = policy
         # (ap, client) of an open link -> [bandwidth, end, open contacts]
         self.pipes: Dict[Tuple[int, int], List] = {}
@@ -101,7 +99,7 @@ def run_contact_trace(n_nodes: int, contacts: Sequence[Contact],
                       messages: Sequence[Message], policy: RouterPolicy,
                       buffer_capacity: int = 10 ** 12) -> ContactTraceResult:
     """Drive a router over a contact schedule; returns delivery outcomes."""
-    sim = _TraceSimulation(n_nodes, policy, buffer_capacity)
+    plane = _TracePlane(n_nodes, policy, buffer_capacity)
     events: List[Tuple[float, int, int, object]] = []
     for c in sorted(contacts, key=lambda c: (c.start, c.end, c.a, c.b)):
         if c.end > c.start:
@@ -113,28 +111,28 @@ def run_contact_trace(n_nodes: int, contacts: Sequence[Contact],
 
     for now, kind, _, item in events:
         # transfers ending at `now` come after opens and creations
-        sim._transfer_step(now, now if kind == _CLOSE
-                           else math.nextafter(now, -math.inf))
-        sim._expire_messages(now)
+        plane._transfer_step(now, now if kind == _CLOSE
+                             else math.nextafter(now, -math.inf))
+        plane._expire_messages(now)
         if kind == _CREATE:
-            sim._inject(item, now)
+            plane._inject(item, now)
             continue
-        link = sim.links[item.a].get(item.b)
+        link = plane.links[item.a].get(item.b)
         if link is None:                # the pair's first open contact
-            sim.pipes[item.a, item.b] = [item.bandwidth, item.end, 1]
-            sim._establish_link(item.a, item.b, now)
+            plane.pipes[item.a, item.b] = [item.bandwidth, item.end, 1]
+            plane._establish_link(item.a, item.b, now)
             continue
-        pipe = sim.pipes[link.ap, link.client]
+        pipe = plane.pipes[link.ap, link.client]
         if kind == _OPEN:
             pipe[1] = max(pipe[1], item.end)
             pipe[2] += 1
-            sim._select_into(link, now)
-            sim._start_next(link, now)
+            plane._select_into(link, now)
+            plane._start_next(link, now)
         else:
             pipe[2] -= 1
             if pipe[2] == 0:
-                sim._close_link(link, now)
-                del sim.pipes[link.ap, link.client]
-    col = sim.collector
+                plane._close_link(link, now)
+                del plane.pipes[link.ap, link.client]
+    col = plane.collector
     return ContactTraceResult(dict(col.delivered_at), col.relayed,
-                              col.aborted, sim.transfers)
+                              col.aborted, plane.transfers)

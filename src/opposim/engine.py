@@ -1,4 +1,13 @@
-"""Simulation engine: clock, event heaps, links and transfer accounting.
+"""Simulation engine: one world, the routing planes on it, and the clock.
+
+The world (`Simulation`) is what every router sees alike: the map,
+mobility, the WiFi role machine with its spatial grids, the world's random
+streams and event heaps, the clock and the auditors. It also decides who
+may become an access point: the AP gate. A routing plane (`Plane`) is what
+a router decides: buffers, the links the world's associations open, the
+transfers on them, messages, metrics, the traffic stream and the
+forwarding policy. Configs that differ only in traffic run as planes of
+one world, and each plane's report equals a run of its config alone.
 
 Time advances on a fixed tick (1 s by default). Mobility and radio state
 change at tick boundaries; transfer bytes are accounted continuously
@@ -11,7 +20,6 @@ Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
 radio, policy) so reconfiguring one layer never perturbs another.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -33,8 +41,8 @@ from .radio import (LinkModel, Phase, RadioState, TimingParams, VisibleAp,
                     ap_due_retirement, assign_channel,
                     joiner_bandwidth_estimate, member_bandwidth_estimate,
                     should_switch_ap, step_radio)
-from .routing import (Buffer, HasView, PeerSummary, PlannedSend,
-                      RouterPolicy, buffer_admit, make_policy, spray_split)
+from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, HasView, PeerSummary,
+                      PlannedSend, buffer_admit, make_policy, spray_split)
 from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
@@ -123,7 +131,7 @@ class RadioConfig:
 @dataclass(frozen=True)
 class RoutingConfig:
     router: str = "epidemic"           # epidemic | snw | hrson
-    buffer_capacity: int = 100_000_000
+    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     summary_refresh: float = 120.0     # periodic anti-entropy on long links; 0 off
 
     def validate(self) -> None:
@@ -247,7 +255,7 @@ class Link:
 
 
 # ---------------------------------------------------------------------------
-# The simulation proper
+# The world
 # ---------------------------------------------------------------------------
 
 def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
@@ -257,92 +265,56 @@ def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
             (x1, y0), (x1, cy), (x1, y1))
 
 
-# World state a routing plane shares with the leader of its world: map,
-# mobility, radio roles, spatial grids and the world's random streams and
-# event heaps. Everything else on a Simulation is the plane's own.
-_WORLD_ATTRS = ("timing", "link_model", "policy_table", "rng_world",
-                "rng_mobility", "rng_radio", "rng_policy", "n_nodes", "graph",
-                "model", "scripted_moves", "radio", "epoch", "radio_events",
-                "mobility_events", "cell_size", "grid", "ap_grid", "ap_near",
-                "cellver", "node_cell", "pos", "moving", "client_scan_key")
+def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
+                      nid: int) -> int:
+    """APs within range of AP nid sharing its channel, incl. itself."""
+    channel = radio[nid].channel
+    count = 1
+    for other in ap_near[nid]:
+        if radio[other].channel == channel:
+            count += 1
+    return count
 
 
 class Simulation:
-    """One world (mobility and radio) and one or more routing planes on it.
+    """The world of a run and the routing planes on it.
 
-    A plain Simulation is a world with itself as its only plane. Passing
-    `world=leader` builds a follower plane instead: it shares the leader's
-    world and holds its own buffers, links, transfers, messages, traffic
-    stream and metrics. Its config may differ from the leader's in
-    `traffic` only. The leader's run() drives every plane; it returns the
-    leader's report and leaves each plane's on its `report`. The world
-    never reads routing state, so every plane's report equals a run of
-    its config alone."""
+    The world is what every router sees alike: the map, mobility, the
+    WiFi role machine with its spatial grids, the world's random streams
+    and event heaps, the clock and the auditors. Who may take the AP role
+    is the world's rule too: `ap_gate` fixes it for the nodes it names;
+    under hrson any other node must be at home, under the other routers
+    it wins a `p_ap` coin from the policy stream after a scan that found
+    no AP.
+
+    Routing state lives on the planes (see Plane). The world builds
+    `planes[0]` from its own config; `add_plane` adds one whose config
+    differs from the world's in `traffic` only. run() drives every plane
+    and returns the first one's report, leaving each plane's on its
+    `report`. The world never reads routing state, so every plane's
+    report equals a run of its config alone.
+
+    Auditors are called as `aud(sim, t)` every `audit_interval` simulated
+    seconds, after the tick's transfers."""
 
     def __init__(self, config: ScenarioConfig, seed: int,
                  static_positions: Optional[Sequence[Tuple[float, float]]] = None,
-                 policy_table: Optional[Dict[int, RouterPolicy]] = None,
+                 ap_gate: Optional[Dict[int, bool]] = None,
                  scripted_moves: Optional[Sequence[Tuple[float, int, Tuple[float, float]]]] = None,
                  auditors: Optional[Sequence[Callable]] = None,
                  audit_interval: float = 100.0,
-                 token_audit: bool = False,
-                 world: Optional[Simulation] = None):
+                 token_audit: bool = False):
         config.validate()
         self.config = config
         self.seed = int(seed)
-        self.policy = make_policy(config.routing.router, config.radio.p_ap)
-        self.collector = MetricsCollector(self.seed)
-        self.report: Optional[MetricsReport] = None
         self.auditors = list(auditors or [])
         if token_audit:
-            self.auditors.append(Simulation._audit_tokens)
+            self.auditors.append(_audit_tokens)
         self.audit_interval = audit_interval
-        self.rng_traffic = stream_rng(seed, "traffic")
-
-        if world is None:
-            # the followers hold no reference back, so no plane is in a cycle
-            self.followers: Optional[List[Simulation]] = []
-            self._build_world(static_positions, policy_table, scripted_moves)
-        else:
-            if (static_positions, policy_table, scripted_moves) != (None,) * 3:
-                raise ConfigError("a routing plane takes its world's "
-                                  "placement, policies and moves")
-            self._join(world)
-
-        n = self.n_nodes
-        self.buffers: List[Buffer] = [Buffer(config.routing.buffer_capacity)
-                                      for _ in range(n)]
-        self.refused = [0] * n          # admissions each node turned down
-        self.delivered: List[Set[int]] = [set() for _ in range(n)]
-        self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
-        self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
-        self.ap_active: Dict[int, Dict[Transfer, None]] = {}
-
-        # the plane's event heaps; _seq breaks their ties
-        self._seq = 0
-        self.transfer_events: List[Tuple[float, int, Transfer, int]] = []
-        self.ttl_events: List[Tuple[float, int]] = []
-        self.refresh_events: List[Tuple[float, int, Link]] = []
-
-        # message bookkeeping
-        self.messages: Dict[int, Message] = {}
-        self.msg_status: Dict[int, str] = {}    # live | delivered | ttl | extinct
-        self.holders: Dict[int, Set[int]] = {}
-        self.next_msg_id = 0
-        self.next_create: Optional[float] = None
-        self._closing = False
-
-        self._init_traffic()
-
-    # -- construction ---------------------------------------------------------
-
-    def _build_world(self, static_positions, policy_table,
-                     scripted_moves) -> None:
-        cfg = self.config
-        seed = self.seed
-        self.timing = cfg.radio.timing
-        self.link_model = cfg.radio.link
-        self.policy_table = policy_table or {}
+        self.timing = config.radio.timing
+        self.link_model = config.radio.link
+        self.ap_gate = dict(ap_gate or {})
+        self.home_gate = make_policy(config.routing.router).home_gate
         self.rng_world = stream_rng(seed, "world")
         self.rng_mobility = stream_rng(seed, "mobility")
         self.rng_radio = stream_rng(seed, "radio")
@@ -372,19 +344,25 @@ class Simulation:
 
         self._init_positions()
         self._init_radio()
+        self.planes: List[Plane] = []
+        self.add_plane(config)
 
-    def _join(self, world: Simulation) -> None:
-        if world.followers is None or world.clock > 0.0:
-            raise ConfigError("a routing plane joins the leader of a world "
-                              "that has not started running")
-        if (self.seed != world.seed or dataclasses.replace(
-                self.config, traffic=world.config.traffic) != world.config):
-            raise ConfigError("a routing plane shares its world's seed and "
-                              "every setting but traffic")
-        for name in _WORLD_ATTRS:
-            setattr(self, name, getattr(world, name))
-        self.followers = None
-        world.followers.append(self)
+    # -- construction ---------------------------------------------------------
+
+    def add_plane(self, config: ScenarioConfig) -> Plane:
+        """A routing plane for `config` on this world, which has not started
+        running; the config may differ from the world's in `traffic` only."""
+        config.validate()
+        if self.clock > 0.0:
+            raise ConfigError("a routing plane joins a world that has not "
+                              "started running")
+        if dataclasses.replace(config, traffic=self.config.traffic) != self.config:
+            raise ConfigError("a routing plane shares its world's every "
+                              "setting but traffic")
+        plane = Plane(config, self.seed, self.n_nodes, self.radio,
+                      self.ap_near)
+        self.planes.append(plane)
+        return plane
 
     def _build_model(self, static_positions) -> None:
         cfg = self.config
@@ -430,16 +408,7 @@ class Simulation:
                      if self.config.radio.stagger else 0.0)
             self._push_radio(start, nid, "phase")
 
-    def _init_traffic(self) -> None:
-        self.next_create = next_creation(self.config.traffic,
-                                         self.config.traffic.window[0],
-                                         self.rng_traffic)
-
     # -- small helpers ----------------------------------------------------------
-
-    def _planes(self) -> Tuple[Simulation, ...]:
-        """The routing planes on this world, this one first."""
-        return (self, *self.followers)
 
     def _push_radio(self, time: float, nid: int, kind: str) -> None:
         self._radio_seq += 1
@@ -468,18 +437,14 @@ class Simulation:
                             out.append(other)
         return out
 
-    def _policy_for(self, nid: int) -> RouterPolicy:
-        return self.policy_table.get(nid, self.policy)
-
-    def _co_channel_count(self, nid: int) -> int:
-        """APs within range of this AP sharing its channel, incl. itself."""
-        radio = self.radio
-        channel = radio[nid].channel
-        count = 1
-        for other in self.ap_near[nid]:
-            if radio[other].channel == channel:
-                count += 1
-        return count
+    def _ap_allowed(self, nid: int) -> bool:
+        """The AP gate, asked after a scan that found no AP."""
+        fixed = self.ap_gate.get(nid)
+        if fixed is not None:
+            return fixed
+        if self.home_gate:
+            return self.model.at_home(nid)
+        return self.rng_policy.random() < self.config.radio.p_ap
 
     def _set_ap_near(self, nid: int, near) -> None:
         """Record `near` as the APs in range of AP nid, on both sides."""
@@ -496,7 +461,8 @@ class Simulation:
         out = []
         for other in self._neighbors(nid, self.ap_grid):
             est = joiner_bandwidth_estimate(
-                self.link_model, self._co_channel_count(other),
+                self.link_model,
+                _co_channel_count(self.radio, self.ap_near, other),
                 len(self.radio[other].clients))
             out.append(VisibleAp(other, est))
         out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
@@ -505,16 +471,13 @@ class Simulation:
     # -- run loop ----------------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        """Run the world and all its planes; returns this plane's report."""
-        if self.followers is None:
-            raise ConfigError("a follower plane runs in its leader's run()")
+        """Run the world and all its planes; returns the first plane's
+        report."""
         cfg = self.config
         tick = cfg.tick
         end = cfg.duration
-        planes = self._planes()
-        for plane in planes:
-            plane._next_audit = (plane.audit_interval if plane.auditors
-                                 else math.inf)
+        planes = self.planes
+        self._next_audit = self.audit_interval if self.auditors else math.inf
         self._move_idx = 0
         day = 1
         while self.clock < end:
@@ -538,26 +501,25 @@ class Simulation:
             for plane in planes:
                 plane._refresh_step(t)
                 plane._transfer_step(t, t + tick)
-                while t >= plane._next_audit:
-                    for aud in plane.auditors:
-                        aud(plane, t)
-                    plane._next_audit += plane.audit_interval
-            self.clock = self._next_tick(t, tick, end, day, planes)
+            while t >= self._next_audit:
+                for aud in self.auditors:
+                    aud(self, t)
+                self._next_audit += self.audit_interval
+            self.clock = self._next_tick(t, tick, end, day)
         for plane in planes:
             plane.report = plane._finalize(end)
-        return self.report
+        return planes[0].report
 
-    def _next_tick(self, t: float, tick: float, end: float, day: int,
-                   planes: Sequence[Simulation]) -> float:
+    def _next_tick(self, t: float, tick: float, end: float, day: int) -> float:
         nxt = t + tick
         if self.moving or self._move_idx < len(self.scripted_moves):
             return nxt
         # idle fast-forward: jump to the earliest pending event
-        horizon = min(end, day * DAY)
+        horizon = min(end, day * DAY, self._next_audit)
         for heap in (self.radio_events, self.mobility_events):
             if heap:
                 horizon = min(horizon, heap[0][0])
-        for plane in planes:
+        for plane in self.planes:
             horizon = min(horizon, plane._horizon(tick))
         if horizon <= nxt:
             return nxt
@@ -565,12 +527,335 @@ class Simulation:
         steps = math.floor((horizon - t) / tick)
         return t + max(1, steps) * tick
 
+    # -- mobility ------------------------------------------------------------------
+
+    def _mobility_step(self, t: float) -> None:
+        model = self.model
+        events = self.mobility_events
+        while events and events[0][0] <= t:
+            _, nid = heapq.heappop(events)
+            nxt, extras = model.wake(nid, t)
+            if nxt is not None:
+                heapq.heappush(events, (nxt, nid))
+            for e in extras:
+                heapq.heappush(events, e)
+            st = model.nodes[nid]
+            if st.moving:
+                self.moving.add(nid)
+            else:
+                self.moving.discard(nid)
+            self._apply_move(nid, model.position(nid, t), t)
+        for nid in list(self.moving):
+            self._apply_move(nid, model.position(nid, t), t)
+
+    def _apply_move(self, nid: int, newpos: Tuple[float, float],
+                    t: float) -> None:
+        if newpos == self.pos[nid]:
+            return
+        self.pos[nid] = newpos
+        old_cell = self.node_cell[nid]
+        new_cell = (int(newpos[0] // self.cell_size),
+                    int(newpos[1] // self.cell_size))
+        is_ap = self.radio[nid].phase is Phase.AP
+        if new_cell != old_cell:
+            self.grid[old_cell].pop(nid, None)
+            self.grid.setdefault(new_cell, {})[nid] = None
+            self.node_cell[nid] = new_cell
+            if is_ap:
+                self._ap_grid_remove(nid, old_cell)
+                self.ap_grid.setdefault(new_cell, {})[nid] = None
+        self._bump_cell(old_cell)
+        if new_cell != old_cell:
+            self._bump_cell(new_cell)
+        if is_ap:
+            self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
+        self._check_links_of(nid, t)
+        if is_ap:
+            # a moving AP drags co-channel interference along with it
+            for plane in self.planes:
+                if plane.ap_active.get(nid):
+                    plane._settle_ap(nid, t)
+            self._resettle_neighborhood(nid, self.ap_near[nid], t)
+
+    def _check_links_of(self, nid: int, t: float) -> None:
+        """Immediate link teardown on range exit, both roles."""
+        r2 = self.link_model.range ** 2
+        state = self.radio[nid]
+        if state.phase is Phase.CLIENT and state.attached_ap is not None:
+            ap = state.attached_ap
+            ax, ay = self.pos[ap]
+            x, y = self.pos[nid]
+            if (ax - x) ** 2 + (ay - y) ** 2 > r2:
+                self._detach_client(nid, t, rescan=True)
+        elif state.phase is Phase.AP:
+            x, y = self.pos[nid]
+            for client in sorted(state.clients):
+                cx, cy = self.pos[client]
+                if (cx - x) ** 2 + (cy - y) ** 2 > r2:
+                    self._detach_client(client, t, rescan=True)
+
+    # -- radio ---------------------------------------------------------------------
+
+    def _radio_step(self, t: float) -> None:
+        events = self.radio_events
+        while events and events[0][0] <= t:
+            _, nid, _, kind, epoch = heapq.heappop(events)
+            if epoch != self.epoch[nid]:
+                continue
+            if kind == "phase":
+                self._phase_event(nid, t)
+            elif kind == "apcheck":
+                self._apcheck_event(nid, t)
+            elif kind == "rescan":
+                self._client_rescan(nid, t)
+            elif kind == "rescan_result":
+                self._client_rescan_result(nid, t)
+
+    def _phase_event(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        if state.phase in (Phase.AP, Phase.CLIENT):
+            return
+        if state.phase is Phase.CONNECTING:
+            self._finish_connect(nid, t)
+            return
+        if state.phase in (Phase.SCANNING, Phase.BECOMING_AP):
+            visible = self._visible_aps(nid)
+            permits = False
+            if not visible and state.phase is Phase.SCANNING:
+                permits = self._ap_allowed(nid)
+            step_radio(state, permits, visible, t, self.timing)
+            if state.phase is Phase.AP:
+                self._ap_created(nid, t)
+            else:
+                self._push_radio(state.timer_expiry, nid, "phase")
+            return
+        # IDLE / RESTING
+        step_radio(state, False, [], t, self.timing)
+        self._push_radio(state.timer_expiry, nid, "phase")
+
+    def _ap_created(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        near = self._neighbors(nid, self.ap_grid)
+        state.channel = assign_channel([self.radio[o].channel for o in near],
+                                       self.link_model.num_channels)
+        state.clients = {}
+        for plane in self.planes:
+            plane.ap_active[nid] = {}
+        cell = self.node_cell[nid]
+        self.ap_grid.setdefault(cell, {})[nid] = None
+        self._set_ap_near(nid, near)
+        self._bump_cell(cell)
+        self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
+        self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
+        self._resettle_neighborhood(nid, near, t)
+
+    def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
+        """Re-derive rates of the APs in `near`, those in range of a changed
+        AP nid (channel landscape), on every plane.
+
+        Settle order assigns the `_seq` tie-breaks of transfer completions.
+        The order is the full grid's: cell by cell, and within a cell the
+        order in which nodes entered it. `near` does not keep that order,
+        so it only finds the busy APs; two or more are put back in
+        full-grid order."""
+        order = None
+        for plane in self.planes:
+            ap_active = plane.ap_active
+            busy = [o for o in near if ap_active.get(o)]
+            if len(busy) > 1:
+                if order is None:
+                    order = self._neighbors(nid, self.grid)
+                busy = [o for o in order if o in busy]
+            for other in busy:
+                plane._settle_ap(other, t)
+
+    def _apcheck_event(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        if state.phase is not Phase.AP:
+            return
+        if ap_due_retirement(state, t, self.config.radio.ap_idle_timeout,
+                             self.config.radio.ap_max_duration):
+            self._retire_ap(nid, t)
+        elif not state.clients:
+            nxt = state.last_client_change + self.config.radio.ap_idle_timeout
+            self._push_radio(max(nxt, t + 1e-9), nid, "apcheck")
+
+    def _retire_ap(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        for client in sorted(state.clients):
+            self._detach_client(client, t, rescan=True, ap_alive=False)
+        for plane in self.planes:
+            plane.ap_active.pop(nid, None)
+        self.epoch[nid] += 1
+        state.reset_to_scan(t, self.timing)
+        self._push_radio(state.timer_expiry, nid, "phase")
+        cell = self.node_cell[nid]
+        self._ap_grid_remove(nid, cell)
+        near = self.ap_near[nid]
+        self._set_ap_near(nid, ())
+        self._bump_cell(cell)
+        self._resettle_neighborhood(nid, near, t)
+
+    def _ap_grid_remove(self, nid: int, cell: Tuple[int, int]) -> None:
+        bucket = self.ap_grid[cell]
+        del bucket[nid]
+        if not bucket:
+            del self.ap_grid[cell]
+
+    def _finish_connect(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        target = state.connect_target
+        state.connect_target = None
+        tstate = self.radio[target] if target is not None else None
+        r2 = self.link_model.range ** 2
+        ok = (tstate is not None and tstate.phase is Phase.AP)
+        if ok:
+            tx, ty = self.pos[target]
+            x, y = self.pos[nid]
+            ok = (tx - x) ** 2 + (ty - y) ** 2 <= r2
+        if not ok:
+            state.reset_to_scan(t, self.timing)
+            self._push_radio(state.timer_expiry, nid, "phase")
+            return
+        state.phase = Phase.CLIENT
+        state.attached_ap = target
+        tstate.clients[nid] = None
+        tstate.last_client_change = t
+        self._bump_cell(self.node_cell[target])
+        self.client_scan_key.pop(nid, None)
+        self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
+        for plane in self.planes:
+            plane._establish_link(target, nid, t)
+
+    def _detach_client(self, nid: int, t: float, rescan: bool,
+                       ap_alive: bool = True) -> None:
+        state = self.radio[nid]
+        ap = state.attached_ap
+        if ap is None:
+            return
+        state.attached_ap = None
+        for plane in self.planes:
+            link = plane.links[nid].get(ap)
+            if link is not None:
+                plane._close_link(link, t)
+        if ap_alive:
+            apstate = self.radio[ap]
+            apstate.clients.pop(nid, None)
+            apstate.last_client_change = t
+            self._bump_cell(self.node_cell[ap])
+            if not apstate.clients:
+                self._push_radio(t + self.config.radio.ap_idle_timeout,
+                                 ap, "apcheck")
+        self.epoch[nid] += 1
+        if rescan:
+            state.reset_to_scan(t, self.timing)
+            self._push_radio(state.timer_expiry, nid, "phase")
+
+    def _client_rescan(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        if state.phase is not Phase.CLIENT:
+            return
+        # Skip the scan when the RF neighborhood looks unchanged; moving
+        # nodes bump their cells every tick so nothing stale hides here.
+        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
+               state.attached_ap)
+        if self.client_scan_key.get(nid) == key:
+            self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
+            return
+        self.client_scan_key[nid] = key
+        self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
+
+    def _client_rescan_result(self, nid: int, t: float) -> None:
+        state = self.radio[nid]
+        if state.phase is not Phase.CLIENT:
+            return
+        ap = state.attached_ap
+        current = member_bandwidth_estimate(
+            self.link_model, _co_channel_count(self.radio, self.ap_near, ap),
+            len(self.radio[ap].clients))
+        best = None
+        for cand in self._visible_aps(nid):
+            if cand.node_id != ap:
+                best = cand
+                break
+        if best is not None and should_switch_ap(
+                current, best.estimated_bandwidth,
+                self.config.radio.switch_ratio):
+            self._detach_client(nid, t, rescan=False)
+            state.phase = Phase.CONNECTING
+            state.connect_target = best.node_id
+            state.timer_expiry = t + self.timing.t_connect
+            self._push_radio(state.timer_expiry, nid, "phase")
+        else:
+            self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
+
+
+def _audit_tokens(sim: Simulation, t: float) -> None:
+    """The auditor `token_audit` adds: the spray custody check on every
+    plane."""
+    for plane in sim.planes:
+        plane._check_tokens(t)
+
+
+# ---------------------------------------------------------------------------
+# Routing planes
+# ---------------------------------------------------------------------------
+
+class Plane:
+    """One router's state on a world: buffers, the links the world's
+    associations open, the transfers on them, messages and their metrics,
+    the traffic stream and the forwarding policy.
+
+    A plane holds no reference to its world. The world calls it when a
+    link opens or closes and when an AP appears, moves or retires; to
+    share an AP's bandwidth the plane reads the radio states and the AP
+    neighbour table the world hands it. A plane without a world (a
+    contact trace) drives the same methods itself and sets its own rates."""
+
+    def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
+                 radio: Optional[List[RadioState]] = None,
+                 ap_near: Optional[List[Set[int]]] = None):
+        self.config = config
+        self.seed = int(seed)
+        self.n_nodes = n_nodes
+        self.link_model = config.radio.link
+        self.radio = radio
+        self.ap_near = ap_near
+        self.policy = make_policy(config.routing.router)
+        self.collector = MetricsCollector(self.seed)
+        self.report: Optional[MetricsReport] = None
+        self.rng_traffic = stream_rng(seed, "traffic")
+
+        n = n_nodes
+        self.buffers: List[Buffer] = [Buffer(config.routing.buffer_capacity)
+                                      for _ in range(n)]
+        self.refused = [0] * n          # admissions each node turned down
+        self.delivered: List[Set[int]] = [set() for _ in range(n)]
+        self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
+        self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
+        self.ap_active: Dict[int, Dict[Transfer, None]] = {}
+
+        # the plane's event heaps; _seq breaks their ties
+        self._seq = 0
+        self.transfer_events: List[Tuple[float, int, Transfer, int]] = []
+        self.ttl_events: List[Tuple[float, int]] = []
+        self.refresh_events: List[Tuple[float, int, Link]] = []
+
+        # message bookkeeping
+        self.messages: Dict[int, Message] = {}
+        self.msg_status: Dict[int, str] = {}    # live | delivered | ttl | extinct
+        self.holders: Dict[int, Set[int]] = {}
+        self.next_msg_id = 0
+        self.next_create: Optional[float] = next_creation(
+            config.traffic, config.traffic.window[0], self.rng_traffic)
+        self._closing = False
+
     def _horizon(self, tick: float) -> float:
         """The earliest tick this plane needs visited. A send counts at
         `finish - tick`: the tick whose window (t, t + tick] first holds its
         finish, so it completes before that tick's radio step whichever
         ticks other events make the loop visit."""
-        horizon = self._next_audit
+        horizon = math.inf
         for heap in (self.ttl_events, self.refresh_events):
             if heap:
                 horizon = min(horizon, heap[0][0])
@@ -635,269 +920,6 @@ class Simulation:
                 self.msg_status[mid] = "ttl"
                 self.collector.on_message_expired()
 
-    # -- mobility ------------------------------------------------------------------
-
-    def _mobility_step(self, t: float) -> None:
-        model = self.model
-        events = self.mobility_events
-        while events and events[0][0] <= t:
-            _, nid = heapq.heappop(events)
-            nxt, extras = model.wake(nid, t)
-            if nxt is not None:
-                heapq.heappush(events, (nxt, nid))
-            for e in extras:
-                heapq.heappush(events, e)
-            st = model.nodes[nid]
-            if st.moving:
-                self.moving.add(nid)
-            else:
-                self.moving.discard(nid)
-            self._apply_move(nid, model.position(nid, t), t)
-        for nid in list(self.moving):
-            self._apply_move(nid, model.position(nid, t), t)
-
-    def _apply_move(self, nid: int, newpos: Tuple[float, float],
-                    t: float) -> None:
-        if newpos == self.pos[nid]:
-            return
-        self.pos[nid] = newpos
-        old_cell = self.node_cell[nid]
-        new_cell = (int(newpos[0] // self.cell_size),
-                    int(newpos[1] // self.cell_size))
-        is_ap = self.radio[nid].phase is Phase.AP
-        if new_cell != old_cell:
-            self.grid[old_cell].pop(nid, None)
-            self.grid.setdefault(new_cell, {})[nid] = None
-            self.node_cell[nid] = new_cell
-            if is_ap:
-                self._ap_grid_remove(nid, old_cell)
-                self.ap_grid.setdefault(new_cell, {})[nid] = None
-        self._bump_cell(old_cell)
-        if new_cell != old_cell:
-            self._bump_cell(new_cell)
-        if is_ap:
-            self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
-        self._check_links_of(nid, t)
-        if is_ap:
-            # a moving AP drags co-channel interference along with it
-            for plane in self._planes():
-                if plane.ap_active.get(nid):
-                    plane._settle_ap(nid, t)
-            self._resettle_neighborhood(nid, self.ap_near[nid], t)
-
-    def _check_links_of(self, nid: int, t: float) -> None:
-        """Immediate link teardown on range exit, both roles."""
-        r2 = self.link_model.range ** 2
-        state = self.radio[nid]
-        if state.phase is Phase.CLIENT and state.attached_ap is not None:
-            ap = state.attached_ap
-            ax, ay = self.pos[ap]
-            x, y = self.pos[nid]
-            if (ax - x) ** 2 + (ay - y) ** 2 > r2:
-                self._detach_client(nid, t, rescan=True)
-        elif state.phase is Phase.AP:
-            x, y = self.pos[nid]
-            for client in sorted(state.clients):
-                cx, cy = self.pos[client]
-                if (cx - x) ** 2 + (cy - y) ** 2 > r2:
-                    self._detach_client(client, t, rescan=True)
-
-    # -- radio ---------------------------------------------------------------------
-
-    def _radio_step(self, t: float) -> None:
-        events = self.radio_events
-        while events and events[0][0] <= t:
-            _, nid, _, kind, epoch = heapq.heappop(events)
-            if epoch != self.epoch[nid]:
-                continue
-            if kind == "phase":
-                self._phase_event(nid, t)
-            elif kind == "apcheck":
-                self._apcheck_event(nid, t)
-            elif kind == "rescan":
-                self._client_rescan(nid, t)
-            elif kind == "rescan_result":
-                self._client_rescan_result(nid, t)
-
-    def _phase_event(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        if state.phase in (Phase.AP, Phase.CLIENT):
-            return
-        if state.phase is Phase.CONNECTING:
-            self._finish_connect(nid, t)
-            return
-        if state.phase in (Phase.SCANNING, Phase.BECOMING_AP):
-            visible = self._visible_aps(nid)
-            permits = False
-            if not visible and state.phase is Phase.SCANNING:
-                permits = self._policy_for(nid).may_become_ap(
-                    self.model.at_home(nid), self.rng_policy)
-            step_radio(state, permits, visible, t, self.timing)
-            if state.phase is Phase.AP:
-                self._ap_created(nid, t)
-            else:
-                self._push_radio(state.timer_expiry, nid, "phase")
-            return
-        # IDLE / RESTING
-        step_radio(state, False, [], t, self.timing)
-        self._push_radio(state.timer_expiry, nid, "phase")
-
-    def _ap_created(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        near = self._neighbors(nid, self.ap_grid)
-        state.channel = assign_channel([self.radio[o].channel for o in near],
-                                       self.link_model.num_channels)
-        state.clients = {}
-        for plane in self._planes():
-            plane.ap_active[nid] = {}
-        cell = self.node_cell[nid]
-        self.ap_grid.setdefault(cell, {})[nid] = None
-        self._set_ap_near(nid, near)
-        self._bump_cell(cell)
-        self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
-        self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
-        self._resettle_neighborhood(nid, near, t)
-
-    def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
-        """Re-derive rates of the APs in `near`, those in range of a changed
-        AP nid (channel landscape), on every plane.
-
-        Settle order assigns the `_seq` tie-breaks of transfer completions.
-        The order is the full grid's: cell by cell, and within a cell the
-        order in which nodes entered it. `near` does not keep that order,
-        so it only finds the busy APs; two or more are put back in
-        full-grid order."""
-        order = None
-        for plane in self._planes():
-            ap_active = plane.ap_active
-            busy = [o for o in near if ap_active.get(o)]
-            if len(busy) > 1:
-                if order is None:
-                    order = self._neighbors(nid, self.grid)
-                busy = [o for o in order if o in busy]
-            for other in busy:
-                plane._settle_ap(other, t)
-
-    def _apcheck_event(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        if state.phase is not Phase.AP:
-            return
-        if ap_due_retirement(state, t, self.config.radio.ap_idle_timeout,
-                             self.config.radio.ap_max_duration):
-            self._retire_ap(nid, t)
-        elif not state.clients:
-            nxt = state.last_client_change + self.config.radio.ap_idle_timeout
-            self._push_radio(max(nxt, t + 1e-9), nid, "apcheck")
-
-    def _retire_ap(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        for client in sorted(state.clients):
-            self._detach_client(client, t, rescan=True, ap_alive=False)
-        for plane in self._planes():
-            plane.ap_active.pop(nid, None)
-        self.epoch[nid] += 1
-        state.reset_to_scan(t, self.timing)
-        self._push_radio(state.timer_expiry, nid, "phase")
-        cell = self.node_cell[nid]
-        self._ap_grid_remove(nid, cell)
-        near = self.ap_near[nid]
-        self._set_ap_near(nid, ())
-        self._bump_cell(cell)
-        self._resettle_neighborhood(nid, near, t)
-
-    def _ap_grid_remove(self, nid: int, cell: Tuple[int, int]) -> None:
-        bucket = self.ap_grid[cell]
-        del bucket[nid]
-        if not bucket:
-            del self.ap_grid[cell]
-
-    def _finish_connect(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        target = state.connect_target
-        state.connect_target = None
-        tstate = self.radio[target] if target is not None else None
-        r2 = self.link_model.range ** 2
-        ok = (tstate is not None and tstate.phase is Phase.AP)
-        if ok:
-            tx, ty = self.pos[target]
-            x, y = self.pos[nid]
-            ok = (tx - x) ** 2 + (ty - y) ** 2 <= r2
-        if not ok:
-            state.reset_to_scan(t, self.timing)
-            self._push_radio(state.timer_expiry, nid, "phase")
-            return
-        state.phase = Phase.CLIENT
-        state.attached_ap = target
-        tstate.clients[nid] = None
-        tstate.last_client_change = t
-        self._bump_cell(self.node_cell[target])
-        self.client_scan_key.pop(nid, None)
-        self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
-        for plane in self._planes():
-            plane._establish_link(target, nid, t)
-
-    def _detach_client(self, nid: int, t: float, rescan: bool,
-                       ap_alive: bool = True) -> None:
-        state = self.radio[nid]
-        ap = state.attached_ap
-        if ap is None:
-            return
-        state.attached_ap = None
-        for plane in self._planes():
-            link = plane.links[nid].get(ap)
-            if link is not None:
-                plane._close_link(link, t)
-        if ap_alive:
-            apstate = self.radio[ap]
-            apstate.clients.pop(nid, None)
-            apstate.last_client_change = t
-            self._bump_cell(self.node_cell[ap])
-            if not apstate.clients:
-                self._push_radio(t + self.config.radio.ap_idle_timeout,
-                                 ap, "apcheck")
-        self.epoch[nid] += 1
-        if rescan:
-            state.reset_to_scan(t, self.timing)
-            self._push_radio(state.timer_expiry, nid, "phase")
-
-    def _client_rescan(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        if state.phase is not Phase.CLIENT:
-            return
-        # Skip the scan when the RF neighborhood looks unchanged; moving
-        # nodes bump their cells every tick so nothing stale hides here.
-        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
-               state.attached_ap)
-        if self.client_scan_key.get(nid) == key:
-            self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
-            return
-        self.client_scan_key[nid] = key
-        self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
-
-    def _client_rescan_result(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        if state.phase is not Phase.CLIENT:
-            return
-        ap = state.attached_ap
-        current = member_bandwidth_estimate(
-            self.link_model, self._co_channel_count(ap),
-            len(self.radio[ap].clients))
-        best = None
-        for cand in self._visible_aps(nid):
-            if cand.node_id != ap:
-                best = cand
-                break
-        if best is not None and should_switch_ap(
-                current, best.estimated_bandwidth,
-                self.config.radio.switch_ratio):
-            self._detach_client(nid, t, rescan=False)
-            state.phase = Phase.CONNECTING
-            state.connect_target = best.node_id
-            state.timer_expiry = t + self.timing.t_connect
-            self._push_radio(state.timer_expiry, nid, "phase")
-        else:
-            self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
-
     # -- links and transfers -----------------------------------------------------
 
     def _summary_of(self, nid: int) -> PeerSummary:
@@ -926,8 +948,7 @@ class Simulation:
         link.summary_key = self._summary_key(link)
         for src, dst in ((link.ap, link.client), (link.client, link.ap)):
             peer = self._summary_of(dst)
-            for plan in self._policy_for(src).select_transfers(
-                    self.buffers[src], peer):
+            for plan in self.policy.select_transfers(self.buffers[src], peer):
                 self._enqueue(link, src, plan.msg_id, plan.sort_key())
 
     @staticmethod
@@ -984,7 +1005,7 @@ class Simulation:
         if entry is None:
             return
         dst = link.other(src)
-        if not self._policy_for(src).eligible(entry, self._summary_of(dst)):
+        if not self.policy.eligible(entry, self._summary_of(dst)):
             return
         self._enqueue(link, src, msg.msg_id,
                       PlannedSend(msg.msg_id, msg.destination == dst,
@@ -1023,7 +1044,7 @@ class Simulation:
             if (dst, mid) in self.in_flight_to:
                 continue    # another sender is already pushing this copy
             peer = self._summary_of(dst)
-            if not self._policy_for(src).eligible(entry, peer):
+            if not self.policy.eligible(entry, peer):
                 continue
             tr = Transfer(entry.message, src, dst, t, link)
             link.active = tr
@@ -1042,7 +1063,8 @@ class Simulation:
         if not active:
             return
         rate = radio_mod.effective_bandwidth(
-            self.link_model, self._co_channel_count(ap), len(active))
+            self.link_model, _co_channel_count(self.radio, self.ap_near, ap),
+            len(active))
         for tr in active:
             if now > tr.last_settle:
                 tr.remaining -= tr.rate * (now - tr.last_settle)
@@ -1096,7 +1118,7 @@ class Simulation:
                 self.collector.on_copy_removed(src, msg.msg_id, now, "delivered")
         else:
             tokens = msg.copy_limit
-            if self._policy_for(src).uses_tokens and entry is not None:
+            if self.policy.uses_tokens and entry is not None:
                 give, keep = spray_split(entry.tokens)
                 entry.tokens = keep
                 tokens = give
@@ -1109,7 +1131,7 @@ class Simulation:
                 self._offer_new_message(dst, msg, now)
             else:
                 self.refused[dst] += 1
-                if self._policy_for(src).uses_tokens and entry is not None:
+                if self.policy.uses_tokens and entry is not None:
                     entry.tokens += tokens    # failed hand-off returns tokens
                 self._note_copy_gone(msg.msg_id, now)
             if entry is not None:
@@ -1156,7 +1178,7 @@ class Simulation:
 
     # -- audits ---------------------------------------------------------------
 
-    def _audit_tokens(self, t: float) -> None:
+    def _check_tokens(self, t: float) -> None:
         """Spray custody invariant: per message, buffered tokens sum to the
         initial budget until delivery or expiry; custodians never exceed it."""
         if not self.policy.uses_tokens:
@@ -1205,11 +1227,11 @@ def _run_planes(task) -> List[MetricsReport]:
     """Reports of configs that differ only in traffic, run as routing
     planes on one world."""
     configs, seed, token_audit = task
-    leader = Simulation(configs[0], seed, token_audit=token_audit)
+    sim = Simulation(configs[0], seed, token_audit=token_audit)
     for config in configs[1:]:
-        Simulation(config, seed, token_audit=token_audit, world=leader)
-    leader.run()
-    return [plane.report for plane in leader._planes()]
+        sim.add_plane(config)
+    sim.run()
+    return [plane.report for plane in sim.planes]
 
 
 def _run_tasks(tasks: Sequence, workers: Optional[int]

@@ -1,21 +1,22 @@
 """Store-carry-forward routing: buffers, custody rules and router policies.
 
-Three routers share one machinery:
+A router decides what crosses a link. Three share one machinery:
 
 * epidemic      -- hand every message to every peer that never had it.
 * snw           -- binary spray-and-wait: a copy carries a token budget,
                    halved toward each new custodian; a single-token copy
                    waits for the destination.
-* hrson         -- spray-and-wait forwarding plus a home gate on the AP
-                   role: a node may only become an access point at its
-                   house, office or evening spot.
+* hrson         -- spray-and-wait forwarding. What sets it apart is a rule
+                   of the world, not of forwarding: a node may only become
+                   an access point at its house, office or evening spot.
+                   The policy carries that as `home_gate`, and the
+                   engine's world applies it.
 
 A message's custodian set (everyone who holds or ever held a copy) is
 shared state carried with the message. The spray routers never send a copy
 to a former custodian except the destination itself; epidemic keeps no
 such history and offers a copy again to a peer that has lost its own.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -151,43 +152,6 @@ class PlannedSend:
         return (0 if self.direct else 1, self.created_at, self.msg_id)
 
 
-def _offerable(entry: BufferEntry, peer: PeerSummary) -> bool:
-    return entry.message.msg_id not in peer.has
-
-
-def epidemic_select(local: Buffer, peer: PeerSummary) -> List[PlannedSend]:
-    """Everything the peer currently lacks: destination-bound first, then
-    oldest first. A peer that evicted a copy under buffer pressure is
-    offered it again; flooding keeps no per-peer history."""
-    plans = []
-    for entry in local.entries.values():
-        m = entry.message
-        if not _offerable(entry, peer):
-            continue
-        plans.append(PlannedSend(m.msg_id, m.destination == peer.node_id,
-                                 m.created_at))
-    plans.sort(key=PlannedSend.sort_key)
-    return plans
-
-
-def snw_select(local: Buffer, peer: PeerSummary) -> List[PlannedSend]:
-    """Spray-and-wait offer list.
-
-    Direct deliveries go out regardless of tokens. Sprays need at least two
-    tokens and a peer that never held the message."""
-    plans = []
-    for entry in local.entries.values():
-        m = entry.message
-        if not _offerable(entry, peer):
-            continue
-        if m.destination == peer.node_id:
-            plans.append(PlannedSend(m.msg_id, True, m.created_at))
-        elif entry.tokens >= 2 and peer.node_id not in m.custodians:
-            plans.append(PlannedSend(m.msg_id, False, m.created_at))
-    plans.sort(key=PlannedSend.sort_key)
-    return plans
-
-
 def spray_split(tokens: int) -> Tuple[int, int]:
     """Binary split of a spray budget: (recipient_share, sender_keeps)."""
     give = tokens // 2
@@ -199,54 +163,63 @@ def spray_split(tokens: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 class RouterPolicy:
-    """Behavior contract shared by the simulation engine.
+    """Forwarding contract shared by the simulation engine.
 
-    may_become_ap gates the AP role; select_transfers orders what to send
-    over a fresh or refreshed link; uses_tokens switches the spray custody
-    accounting on."""
+    select_transfers orders what to send over a fresh or refreshed link;
+    eligible re-checks one queued copy when it is offered or about to be
+    sent; uses_tokens switches the spray custody accounting on; home_gate
+    tells the world to let a node take the AP role only at home."""
 
     name = "base"
     uses_tokens = False
-
-    def __init__(self, p_ap: float = 0.5):
-        self.p_ap = p_ap
-
-    def may_become_ap(self, at_home: bool, rng) -> bool:
-        raise NotImplementedError
+    home_gate = False
 
     def select_transfers(self, local: Buffer, peer: PeerSummary) -> List[PlannedSend]:
         raise NotImplementedError
 
     def eligible(self, entry: BufferEntry, peer: PeerSummary) -> bool:
-        """Late validity check used when a queued offer finally starts."""
         raise NotImplementedError
 
 
 class EpidemicPolicy(RouterPolicy):
-    name = "epidemic"
-    uses_tokens = False
+    """Everything the peer lacks. A peer that evicted a copy under buffer
+    pressure is offered it again; flooding keeps no per-peer history.
 
-    def may_become_ap(self, at_home: bool, rng) -> bool:
-        return rng.random() < self.p_ap
+    Subclasses change only `_forwards`, the rule for one copy; both
+    entry points apply it."""
+
+    name = "epidemic"
 
     def select_transfers(self, local, peer):
-        return epidemic_select(local, peer)
+        """Every copy the rule lets go to the peer: destination-bound
+        first, then oldest first."""
+        forwards = self._forwards
+        dst = peer.node_id
+        plans = [PlannedSend(entry.message.msg_id,
+                             entry.message.destination == dst,
+                             entry.message.created_at)
+                 for entry in local.entries.values()
+                 if forwards(entry, peer)]
+        plans.sort(key=PlannedSend.sort_key)
+        return plans
 
     def eligible(self, entry, peer):
+        return self._forwards(entry, peer)
+
+    @staticmethod
+    def _forwards(entry: BufferEntry, peer: PeerSummary) -> bool:
         return entry.message.msg_id not in peer.has
 
 
-class SprayAndWaitPolicy(RouterPolicy):
+class SprayAndWaitPolicy(EpidemicPolicy):
+    """Direct deliveries go out regardless of tokens. Sprays need at least
+    two tokens and a peer that never held the message."""
+
     name = "snw"
     uses_tokens = True
 
-    def may_become_ap(self, at_home: bool, rng) -> bool:
-        return rng.random() < self.p_ap
-
-    def select_transfers(self, local, peer):
-        return snw_select(local, peer)
-
-    def eligible(self, entry, peer):
+    @staticmethod
+    def _forwards(entry, peer):
         m = entry.message
         if m.msg_id in peer.has:
             return False
@@ -256,11 +229,9 @@ class SprayAndWaitPolicy(RouterPolicy):
 
 
 class HrsonPolicy(SprayAndWaitPolicy):
-    """Spray-and-wait forwarding with the AP role gated to Home locations."""
+    """Spray-and-wait forwarding; the world gates the AP role to home."""
     name = "hrson"
-
-    def may_become_ap(self, at_home: bool, rng) -> bool:
-        return at_home
+    home_gate = True
 
 
 _POLICIES = {
@@ -272,9 +243,9 @@ _POLICIES = {
 }
 
 
-def make_policy(name: str, p_ap: float = 0.5) -> RouterPolicy:
+def make_policy(name: str) -> RouterPolicy:
     key = name.strip().lower().replace("_", "-")
     if key not in _POLICIES:
         raise RoutingError(f"unknown router {name!r}; "
                            f"choose from epidemic, snw, hrson")
-    return _POLICIES[key](p_ap=p_ap)
+    return _POLICIES[key]()

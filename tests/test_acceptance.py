@@ -22,7 +22,7 @@ from opposim.engine import (ScenarioConfig, Simulation, apply_sweep_value,
 from opposim.metrics import render_runs_csv
 from opposim.mobility import DAY, Activity
 from opposim.radio import Phase
-from opposim.routing import EpidemicPolicy, make_policy
+from opposim.routing import make_policy
 from opposim.scenario import load_scenario
 from opposim.traffic import Message, TrafficConfig
 
@@ -46,16 +46,6 @@ def with_router(config: ScenarioConfig, router: str) -> ScenarioConfig:
         config, routing=dataclasses.replace(config.routing, router=router))
 
 
-class AlwaysAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return True
-
-
-class NeverAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return False
-
-
 def scripted_config(duration, window, interval=(100.0, 100.0)):
     base = desk_base("epidemic")
     traffic = TrafficConfig(interval_range=interval,
@@ -77,14 +67,14 @@ class TestCriterion1Timing:
                               interval=(10.0, 10.0))
         sim = Simulation(cfg, seed=1,
                          static_positions=[(0.0, 0.0), (5.0, 0.0)],
-                         policy_table={0: AlwaysAp(), 1: NeverAp()})
+                         ap_gate={0: True, 1: False})
         timeline = []
         sim.auditors = [lambda s, t: timeline.append(
             (t, s.radio[1].phase is Phase.CLIENT))]
         sim.audit_interval = 1.0
         sim.run()
         linked_at = min(t for t, up in timeline if up)
-        (delivered_at,) = sim.collector.delivered_at.values()
+        (delivered_at,) = sim.planes[0].collector.delivered_at.values()
         ok = abs(linked_at - 16.0) <= 1.0 and abs(delivered_at - 16.2) <= 1.0
         note("1a net_initiate=16s", ok,
              f"link up at {linked_at:.1f}s, first delivery {delivered_at:.2f}s,"
@@ -95,7 +85,7 @@ class TestCriterion1Timing:
         sim = Simulation(
             cfg, seed=3,
             static_positions=[(0.0, 0.0), (5.0, 0.0), (22.0, 0.0)],
-            policy_table={0: AlwaysAp(), 1: NeverAp(), 2: AlwaysAp()},
+            ap_gate={0: True, 1: False, 2: True},
             scripted_moves=[(40.0, 0, (5000.0, 5000.0))])
         timeline = []
         sim.auditors = [lambda s, t: timeline.append(
@@ -113,7 +103,7 @@ class TestCriterion1Timing:
         sim = Simulation(
             cfg, seed=3,
             static_positions=[(0.0, 0.0), (5.0, 0.0), (8.0, 0.0)],
-            policy_table={0: AlwaysAp(), 1: AlwaysAp(), 2: NeverAp()},
+            ap_gate={0: True, 1: True, 2: False},
             scripted_moves=[(40.0, 0, (5000.0, 5000.0))])
         timeline = []
         sim.auditors = [lambda s, t: timeline.append(

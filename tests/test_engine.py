@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from opposim.engine import (
-    ConfigError, MapConfig, PoiConfig, RadioConfig, RoutingConfig,
-    ScenarioConfig, Simulation, apply_sweep_value, run, run_batch, stream_rng,
-    sweep,
+    ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
+    ScenarioConfig, Simulation, _co_channel_count, apply_sweep_value, run,
+    run_batch, stream_rng, sweep,
 )
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
@@ -16,16 +16,6 @@ from opposim.routing import EpidemicPolicy, buffer_admit
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
-
-
-class AlwaysAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return True
-
-
-class NeverAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return False
 
 
 def scripted_config(duration=60.0, window=(0.0, 10.0), interval=(10.0, 10.0)):
@@ -85,7 +75,7 @@ class TestScriptedTwoNode:
     def run_sim(self):
         sim = Simulation(scripted_config(), seed=1,
                          static_positions=[(0.0, 0.0), (5.0, 0.0)],
-                         policy_table={0: AlwaysAp(), 1: NeverAp()})
+                         ap_gate={0: True, 1: False})
         timeline = []
         sim.auditors = [lambda s, t: timeline.append(
             (t, s.radio[0].phase, s.radio[1].phase))]
@@ -106,7 +96,7 @@ class TestScriptedTwoNode:
         # one 1 MB message, link up at 16 s, 5 MB/s: delivered at 16.2 s
         assert report.generated == 1
         assert report.delivered == 1
-        (delivered_at,) = sim.collector.delivered_at.values()
+        (delivered_at,) = sim.planes[0].collector.delivered_at.values()
         assert delivered_at == pytest.approx(16.2, abs=1e-6)
         assert report.avg_latency == pytest.approx(16.2 - 10.0, abs=1e-6)
 
@@ -127,7 +117,7 @@ class TestDisruptionScripts:
         sim = Simulation(
             cfg, seed=3,
             static_positions=[(0.0, 0.0), (5.0, 0.0), (22.0, 0.0)],
-            policy_table={0: AlwaysAp(), 1: NeverAp(), 2: AlwaysAp()},
+            ap_gate={0: True, 1: False, 2: True},
             scripted_moves=[(40.0, 0, (5000.0, 5000.0))])
         connected = []
         sim.auditors = [lambda s, t: connected.append(
@@ -148,7 +138,7 @@ class TestDisruptionScripts:
         sim = Simulation(
             cfg, seed=3,
             static_positions=[(0.0, 0.0), (5.0, 0.0), (8.0, 0.0)],
-            policy_table={0: AlwaysAp(), 1: AlwaysAp(), 2: NeverAp()},
+            ap_gate={0: True, 1: True, 2: False},
             scripted_moves=[(40.0, 0, (5000.0, 5000.0))])
         connected = []
         sim.auditors = [lambda s, t: connected.append(
@@ -237,15 +227,16 @@ class TestEngineInvariants:
                         violations.append((t, nid, "ap role"))
                     if (ax - x) ** 2 + (ay - y) ** 2 > r2 + 1e-6:
                         violations.append((t, nid, "range"))
-            for ap, active in sim.ap_active.items():
+            for ap, active in sim.planes[0].ap_active.items():
                 if not active:
                     continue
-                cap = sim.link_model.base_speed / sim._co_channel_count(ap)
+                cap = sim.link_model.base_speed / _co_channel_count(
+                    sim.radio, sim.ap_near, ap)
                 total = sum(tr.rate for tr in active)
                 if total > cap + 1e-6:
                     violations.append((t, ap, "bandwidth"))
             for nid in range(sim.n_nodes):
-                for entry in sim.buffers[nid].entries.values():
+                for entry in sim.planes[0].buffers[nid].entries.values():
                     if t - entry.message.created_at > entry.message.ttl + cfg.tick:
                         violations.append((t, nid, "ttl"))
 
@@ -273,7 +264,7 @@ class TestEngineInvariants:
                            if sim.radio[o].channel == sim.radio[ap].channel)
                 if near:
                     crowded.append(t)
-                if (sim._co_channel_count(ap) != 1 + same
+                if (_co_channel_count(sim.radio, sim.ap_near, ap) != 1 + same
                         or sim.ap_near[ap] != near):
                     mismatches.append((t, ap))
             for n in range(sim.n_nodes):
@@ -336,8 +327,8 @@ class TestSummaryRefresh:
         positions = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (500.0, 500.0)]
         spy = SpyPolicy()
         sim = Simulation(scripted_config(), seed=1,
-                         static_positions=positions[:n_nodes],
-                         policy_table={i: spy for i in range(n_nodes)})
+                         static_positions=positions[:n_nodes]).planes[0]
+        sim.policy = spy
         msg = Message(0, holders[0], n_nodes - 1, MB, 0.0, 86400.0, 10)
         sim.messages[0] = msg
         sim.msg_status[0] = "live"
@@ -395,23 +386,23 @@ class TestTransferTick:
     """A send that ends exactly on a tick completes in the window that
     holds its end, before that tick's radio step, whatever else happens."""
 
-    def run_sim(self, interval, far_node=False, world=None):
-        cfg = dataclasses.replace(
+    def config(self, interval):
+        return dataclasses.replace(
             scripted_config(duration=900.0, window=(0.0, 700.0),
                             interval=interval),
             traffic=TrafficConfig(interval_range=interval,
                                   size_range=(10 * MB, 10 * MB),
                                   ttl=86400.0, window=(0.0, 700.0),
                                   copy_limit=10))
-        if world is not None:
-            return Simulation(cfg, seed=3, world=world)
+
+    def run_sim(self, interval, far_node=False):
         positions = [(0.0, 0.0), (5.0, 0.0)]
-        policies = {0: AlwaysAp(), 1: NeverAp()}
+        ap_gate = {0: True, 1: False}
         if far_node:                   # out of range, touches nothing
             positions.append((500.0, 500.0))
-            policies[2] = NeverAp()
-        return Simulation(cfg, seed=3, static_positions=positions,
-                          policy_table=policies)
+            ap_gate[2] = False
+        return Simulation(self.config(interval), seed=3,
+                          static_positions=positions, ap_gate=ap_gate)
 
     @pytest.mark.parametrize("far_node", [False, True])
     def test_send_ending_as_the_ap_retires_completes(self, far_node):
@@ -423,33 +414,28 @@ class TestTransferTick:
         assert report.avg_latency == pytest.approx(2.0)
 
     def test_planes_match_solo_runs(self):
-        # the follower's creation at 604.5 s makes the loop visit 605 s,
-        # which a solo run of the leader skips
-        leader = self.run_sim((604.0, 604.0))
-        follower = self.run_sim((604.5, 604.5), world=leader)
-        leader.run()
-        assert leader.report == self.run_sim((604.0, 604.0)).run()
-        assert follower.report == self.run_sim((604.5, 604.5)).run()
+        # the second plane's creation at 604.5 s makes the loop visit 605 s,
+        # which a solo run of the first plane skips
+        sim = self.run_sim((604.0, 604.0))
+        second = sim.add_plane(self.config((604.5, 604.5)))
+        sim.run()
+        assert sim.planes[0].report == self.run_sim((604.0, 604.0)).run()
+        assert second.report == self.run_sim((604.5, 604.5)).run()
 
 
 class TestPlanes:
     def test_follower_must_share_the_world(self):
+        # a plane takes its world's seed and has no run() of its own; what
+        # add_plane can still get wrong is the config and the moment
         cfg = desk_config(duration=900.0)
-        leader = Simulation(cfg, seed=1)
+        sim = Simulation(cfg, seed=1)
         with pytest.raises(ConfigError):
-            Simulation(cfg, seed=2, world=leader)
+            sim.add_plane(desk_config(duration=900.0, router="snw"))
+        plane = sim.add_plane(apply_sweep_value(cfg, "copies", 4))
+        assert sim.planes[1:] == [plane]
+        sim.run()
         with pytest.raises(ConfigError):
-            Simulation(desk_config(duration=900.0, router="snw"), seed=1,
-                       world=leader)
-        follower = Simulation(apply_sweep_value(cfg, "copies", 4), seed=1,
-                              world=leader)
-        with pytest.raises(ConfigError):
-            Simulation(cfg, seed=1, world=follower)
-        with pytest.raises(ConfigError):
-            follower.run()
-        leader.run()
-        with pytest.raises(ConfigError):
-            Simulation(cfg, seed=1, world=leader)
+            sim.add_plane(cfg)
 
     @pytest.mark.parametrize("parameter,values", [
         ("copies", [2, 8, 4]),
@@ -468,14 +454,16 @@ class TestPlanes:
                          token_audit=True) == expected
 
     def test_sweep_leaves_no_simulation_for_the_collector(self):
-        # planes hold no reference cycle, so a sweep's simulations are
-        # freed as soon as it returns, without a garbage collection
+        # neither a world nor its planes are in a reference cycle, so a
+        # sweep's simulations are freed as soon as it returns, without a
+        # garbage collection
         gc.collect()
         gc.disable()
         try:
             sweep(desk_config(router="snw", duration=1800.0), "copies",
                   [2, 4, 8], [1], workers=1)
-            left = [o for o in gc.get_objects() if isinstance(o, Simulation)]
+            left = [o for o in gc.get_objects()
+                    if isinstance(o, (Simulation, Plane))]
         finally:
             gc.enable()
         assert left == []

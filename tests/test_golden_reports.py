@@ -11,7 +11,6 @@ import dataclasses
 import pytest
 
 from opposim.engine import RadioConfig, ScenarioConfig, Simulation, run
-from opposim.routing import EpidemicPolicy
 from opposim.scenario import load_scenario
 from opposim.traffic import TrafficConfig
 
@@ -83,16 +82,6 @@ GOLDEN_SCRIPTED = {
 }
 
 
-class AlwaysAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return True
-
-
-class NeverAp(EpidemicPolicy):
-    def may_become_ap(self, at_home, rng):
-        return False
-
-
 @pytest.mark.parametrize("router,seed", sorted(GOLDEN_DESK))
 def test_desk_report_matches_golden(router, seed):
     cfg = load_scenario("desk", router=router, duration=DESK_DURATION)
@@ -112,7 +101,7 @@ def test_scripted_two_node_report_matches_golden():
         duration=900.0,
     )
     sim = Simulation(cfg, seed=1, static_positions=[(0.0, 0.0), (5.0, 0.0)],
-                     policy_table={0: AlwaysAp(), 1: NeverAp()},
+                     ap_gate={0: True, 1: False},
                      scripted_moves=[(201.0, 1, (500.0, 0.0)),
                                      (400.0, 1, (5.0, 0.0))])
     assert dataclasses.asdict(sim.run()) == GOLDEN_SCRIPTED

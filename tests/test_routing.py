@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from opposim.engine import ScenarioConfig, Simulation
+from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
 from opposim.routing import (
-    Buffer, PeerSummary, RoutingError, buffer_admit, epidemic_select,
-    make_policy, snw_select, spray_split,
+    Buffer, PeerSummary, RoutingError, buffer_admit, make_policy, spray_split,
 )
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
+EPIDEMIC = make_policy("epidemic")
+SNW = make_policy("snw")
 
 
 def msg(mid, src=0, dst=1, size=MB, created=0.0, ttl=86400.0, copies=10):
@@ -84,10 +85,10 @@ class TestBufferAdmit:
 
 
 def far_apart(n, traffic=None):
-    """A simulation of n static nodes, all out of each other's range."""
+    """The routing plane of n static nodes, all out of each other's range."""
     config = ScenarioConfig(traffic=traffic or TrafficConfig())
-    return Simulation(config, seed=3,
-                      static_positions=[(100.0 * i, 0.0) for i in range(n)])
+    return Simulation(config, seed=3, static_positions=[
+        (100.0 * i, 0.0) for i in range(n)]).planes[0]
 
 
 def holding(sim):
@@ -139,14 +140,16 @@ class TestSummaryExchange:
         sim = far_apart(2)
         for b in sim.buffers:
             buffer_admit(b, msg(1), 10, 0.0)
-        assert epidemic_select(sim.buffers[0], sim._summary_of(1)) == []
+        peer = sim._summary_of(1)
+        assert EPIDEMIC.select_transfers(sim.buffers[0], peer) == []
 
     def test_delivered_ids_count_as_has(self):
         sim = far_apart(2)
         buffer_admit(sim.buffers[0], msg(3, dst=1), 10, 0.0)
-        assert len(epidemic_select(sim.buffers[0], sim._summary_of(1))) == 1
+        peer = sim._summary_of(1)
+        assert len(EPIDEMIC.select_transfers(sim.buffers[0], peer)) == 1
         sim.delivered[1].add(3)
-        assert epidemic_select(sim.buffers[0], sim._summary_of(1)) == []
+        assert EPIDEMIC.select_transfers(sim.buffers[0], peer) == []
 
 
 class TestEpidemicSelect:
@@ -156,14 +159,15 @@ class TestEpidemicSelect:
         m2 = msg(2, dst=11, created=5.0)
         buffer_admit(b, m1, 10, 0.0)
         buffer_admit(b, m2, 10, 5.0)
-        plans = epidemic_select(b, PeerSummary(11, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(11, frozenset()))
         assert [p.msg_id for p in plans] == [2, 1]
         assert plans[0].direct and not plans[1].direct
 
     def test_peer_lacking_nothing(self):
         b = Buffer()
         buffer_admit(b, msg(1), 10, 0.0)
-        assert epidemic_select(b, PeerSummary(5, frozenset({1}))) == []
+        peer = PeerSummary(5, frozenset({1}))
+        assert EPIDEMIC.select_transfers(b, peer) == []
 
     def test_flooding_reoffers_evicted_copies(self):
         # epidemic keeps no per-peer history: a former custodian that lost
@@ -172,14 +176,14 @@ class TestEpidemicSelect:
         m1 = msg(1, dst=99)
         m1.custodians.update({0, 5})
         buffer_admit(b, m1, 10, 0.0)
-        plans = epidemic_select(b, PeerSummary(5, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [1]
 
     def test_oldest_first_within_class(self):
         b = Buffer()
         for mid, created in ((1, 30.0), (2, 10.0), (3, 20.0)):
             buffer_admit(b, msg(mid, dst=99, created=created), 10, created)
-        plans = epidemic_select(b, PeerSummary(5, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [2, 3, 1]
 
 
@@ -195,12 +199,12 @@ class TestSnwSelect:
     def test_single_token_not_offered(self):
         b = Buffer()
         buffer_admit(b, msg(1, dst=99), tokens=1, now=0.0)
-        assert snw_select(b, PeerSummary(5, frozenset())) == []
+        assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
 
     def test_single_token_direct_delivery_allowed(self):
         b = Buffer()
         buffer_admit(b, msg(1, dst=5), tokens=1, now=0.0)
-        plans = snw_select(b, PeerSummary(5, frozenset()))
+        plans = SNW.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [1] and plans[0].direct
 
     def test_seen_peer_not_sprayed(self):
@@ -208,22 +212,41 @@ class TestSnwSelect:
         m = msg(1, dst=99)
         m.custodians.update({0, 5})
         buffer_admit(b, m, tokens=8, now=0.0)
-        assert snw_select(b, PeerSummary(5, frozenset())) == []
-        assert len(snw_select(b, PeerSummary(6, frozenset()))) == 1
+        assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
+        assert len(SNW.select_transfers(b, PeerSummary(6, frozenset()))) == 1
 
 
 class TestPolicies:
+    # the AP gate is the world's, chosen by the router and drawn from the
+    # world's policy stream
+    def world(self, router, p_ap=0.5, ap_gate=None):
+        config = ScenarioConfig(radio=RadioConfig(p_ap=p_ap),
+                                routing=RoutingConfig(router=router))
+        sim = Simulation(config, seed=3, ap_gate=ap_gate,
+                         static_positions=[(0.0, 0.0), (100.0, 0.0)])
+        sim.model.home[1] = False
+        return sim
+
     def test_epidemic_ap_gate_is_coin(self):
-        pol = make_policy("epidemic", p_ap=1.0)
-        assert pol.may_become_ap(False, np.random.default_rng(0))
-        pol0 = make_policy("epidemic", p_ap=0.0)
-        assert not pol0.may_become_ap(True, np.random.default_rng(0))
+        sim = self.world("epidemic", p_ap=1.0)
+        state = sim.rng_policy.bit_generator.state
+        assert sim._ap_allowed(1)
+        assert sim.rng_policy.bit_generator.state != state
+        assert not self.world("epidemic", p_ap=0.0)._ap_allowed(0)
 
     def test_hrson_ap_gate_is_home(self):
-        pol = make_policy("hrson")
-        rng = np.random.default_rng(0)
-        assert pol.may_become_ap(True, rng)
-        assert not pol.may_become_ap(False, rng)
+        sim = self.world("hrson", p_ap=0.0)
+        state = sim.rng_policy.bit_generator.state
+        assert sim._ap_allowed(0)
+        assert not self.world("hrson", p_ap=1.0)._ap_allowed(1)
+        assert sim.rng_policy.bit_generator.state == state   # no coin drawn
+
+    def test_fixed_ap_gate_draws_nothing(self):
+        for router in ("epidemic", "hrson"):
+            sim = self.world(router, p_ap=1.0, ap_gate={0: False, 1: True})
+            state = sim.rng_policy.bit_generator.state
+            assert not sim._ap_allowed(0) and sim._ap_allowed(1)
+            assert sim.rng_policy.bit_generator.state == state
 
     def test_names_normalize(self):
         assert make_policy("Epidemic").name == "epidemic"
