@@ -905,11 +905,13 @@ class Plane:
             if msg is None:
                 continue
             status = self.msg_status[mid]
-            # abort in-flight copies of a dead message
+            # abort in-flight copies of a dead message; nothing re-offers
+            # it, so the freed link serves its queue now
             for holder_links in (self.links[h] for h in list(self.holders[mid])):
                 for link in list(holder_links.values()):
                     if link.active is not None and link.active.msg.msg_id == mid:
                         self._abort_transfer(link.active, t)
+                        self._start_next(link, t)
             for holder in sorted(self.holders[mid]):
                 entry = self.buffers[holder].remove(mid)
                 if entry is not None:

@@ -178,3 +178,14 @@ class TestEngineRulesOnTraces:
                                 make_policy("epidemic"))
         assert res.delivered_ids() == set()
         assert (res.completed, res.aborted) == (0, 1)
+
+    def test_expiry_in_mid_send_serves_the_next_copy(self):
+        # the 10 MB send outlives its 0.5 s TTL and is aborted when expiry
+        # next runs, as contact 2-3 opens at 1.0 s; the 1 MB copy queued
+        # behind it goes out at once
+        contacts = [Contact(0.0, 10.0, 0, 1), Contact(1.0, 2.0, 2, 3)]
+        messages = [Message(0, 0, 1, 10 * MB, 0.0, ttl=0.5, copy_limit=10),
+                    msg(1, 0, 1)]
+        res = run_contact_trace(4, contacts, messages,
+                                make_policy("epidemic"))
+        assert res.delivered_at == pytest.approx({1: 1.2})
