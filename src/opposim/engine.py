@@ -20,6 +20,7 @@ Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
 radio, policy) so reconfiguring one layer never perturbs another.
 """
+
 from __future__ import annotations
 
 import dataclasses
@@ -1227,12 +1228,17 @@ def run(config: ScenarioConfig, seed: int, **kwargs) -> MetricsReport:
 
 def _run_planes(task) -> List[MetricsReport]:
     """Reports of configs that differ only in traffic, run as routing
-    planes on one world."""
-    configs, seed, token_audit = task
-    sim = Simulation(configs[0], seed, token_audit=token_audit)
-    for config in configs[1:]:
-        sim.add_plane(config)
-    sim.run()
+    planes on one world. An error keeps its type, and its message starts
+    with the task's label: the seed and any swept values."""
+    configs, seed, token_audit, label = task
+    try:
+        sim = Simulation(configs[0], seed, token_audit=token_audit)
+        for config in configs[1:]:
+            sim.add_plane(config)
+        sim.run()
+    except Exception as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
     return [plane.report for plane in sim.planes]
 
 
@@ -1257,7 +1263,8 @@ def run_batch(config: ScenarioConfig, seeds: Sequence[int],
     if not seeds:
         raise ConfigError("need at least one seed")
     config.validate()
-    tasks = [([config], int(s), token_audit) for s in seeds]
+    tasks = [([config], int(s), token_audit, f"seed {int(s)}")
+             for s in seeds]
     return [reports[0] for reports in _run_tasks(tasks, workers)]
 
 
@@ -1311,7 +1318,8 @@ def sweep(config: ScenarioConfig, parameter: str, values: Sequence,
                 break
         else:
             groups.append([i])
-    tasks = [([derived[i] for i in group], seed, token_audit)
+    tasks = [([derived[i] for i in group], seed, token_audit,
+              f"seed {seed}, {parameter}={[values[i] for i in group]}")
              for group in groups for seed in seeds]
     results = iter(_run_tasks(tasks, workers))
     by_value: List[List[MetricsReport]] = [[] for _ in values]

@@ -17,6 +17,7 @@ shared state carried with the message. The spray routers never send a copy
 to a former custodian except the destination itself; epidemic keeps no
 such history and offers a copy again to a peer that has lost its own.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opposim.engine import (
-    ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
+    AuditError, ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
     ScenarioConfig, Simulation, _co_channel_count, apply_sweep_value, run,
     run_batch, stream_rng, sweep,
 )
@@ -67,6 +67,36 @@ class TestConfigValidation:
         c = stream_rng(7, "mobility").random(4)
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
+
+
+def recount_planes(sim, t):
+    """Auditor: each plane's in_flight_to, ap_active, holders, pins and
+    Buffer.used recomputed from its links and buffers, and its links
+    from the world's associations."""
+    clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
+               if st.phase is Phase.CLIENT}
+    aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
+    for plane in sim.planes:
+        links = {id(link): link for ends in plane.links
+                 for link in ends.values()}.values()
+        assert {(link.ap, link.client) for link in links} == clients
+        for link in links:
+            assert link.open
+            assert plane.links[link.ap][link.client] is link
+            assert plane.links[link.client][link.ap] is link
+        sends = [link.active for link in links if link.active is not None]
+        assert plane.in_flight_to == {(tr.dst, tr.msg.msg_id) for tr in sends}
+        assert set(plane.ap_active) == aps
+        for ap, active in plane.ap_active.items():
+            assert set(active) == {tr for tr in sends if tr.link.ap == ap}
+        pinned = {(tr.src, tr.msg.msg_id) for tr in sends}
+        held = {}
+        for nid, buf in enumerate(plane.buffers):
+            assert buf.used == sum(e.message.size for e in buf.entries.values())
+            for mid, entry in buf.entries.items():
+                assert entry.pinned == ((nid, mid) in pinned)
+                held.setdefault(mid, set()).add(nid)
+        assert {mid: h for mid, h in plane.holders.items() if h} == held
 
 
 class TestScriptedTwoNode:
@@ -275,6 +305,30 @@ class TestEngineInvariants:
         sim.run()
         assert crowded, "no two APs were ever in range of each other"
         assert mismatches == []
+
+    @pytest.mark.parametrize("buffer_capacity,token_audit", [
+        (100 * MB, True), (4 * MB, False)])
+    def test_plane_structures_match_a_recount(self, buffer_capacity,
+                                              token_audit):
+        # every plane's hand-kept structures against a recount from its
+        # links and buffers, every 2 s on three planes of one world; small
+        # buffers add evictions, which the token audit does not allow for
+        cfg = desk_config(router="snw", interval=(20.0, 40.0),
+                          duration=36000.0, buffer_capacity=buffer_capacity,
+                          ttl=3000.0)
+        audits = []
+        sim = Simulation(apply_sweep_value(cfg, "copies", 2), seed=21,
+                         auditors=[recount_planes,
+                                   lambda s, t: audits.append(t)],
+                         audit_interval=2.0, token_audit=token_audit)
+        for copies in (8, 4):
+            sim.add_plane(apply_sweep_value(cfg, "copies", copies))
+        sim.run()
+        assert len(audits) == 17999       # 2 s to 35998 s
+        for plane in sim.planes:
+            rep = plane.report
+            assert min(rep.ttl_dropped, rep.aborted) > 0
+            assert (rep.evicted_copies > 0) == (buffer_capacity < 100 * MB)
 
     def test_desk_day_completes_quickly(self):
         import time
@@ -517,3 +571,21 @@ class TestBatchAndSweep:
     def test_sweep_empty_values_rejected(self):
         with pytest.raises(ConfigError):
             sweep(desk_config(), "copies", [], [1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_task_names_its_seed_and_values(self, monkeypatch,
+                                                    workers):
+        finalize = Plane._finalize
+
+        def fail_on_seed_2(plane, end):
+            if plane.seed == 2:
+                raise AuditError("boom")
+            return finalize(plane, end)
+
+        monkeypatch.setattr(Plane, "_finalize", fail_on_seed_2)
+        cfg = desk_config(router="snw", duration=900.0)
+        with pytest.raises(AuditError,
+                           match=r"^seed 2, copies=\[2, 4\]: boom$"):
+            sweep(cfg, "copies", [2, 4], [1, 2], workers=workers)
+        with pytest.raises(AuditError, match=r"^seed 2: boom$"):
+            run_batch(cfg, [1, 2], workers=workers)
