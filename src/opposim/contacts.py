@@ -7,10 +7,11 @@ message can only travel along time-respecting contact chains with enough
 per-contact capacity.
 
 The trace runs on the engine itself, as a routing plane with no world:
-each open contact is one of the plane's links, and offers, queueing, custody hand-off, aborts, re-offers on a sender's
-other links and TTL expiry are the engine's own. Only the pipe differs:
-a transfer runs at its contact's bandwidth, and a copy that cannot finish
-before the contact ends is not sent on it. Transfers are serial within a
+each open contact is one of the plane's links, and offers, queueing,
+custody hand-off, aborts, re-offers on a sender's other links and TTL
+expiry are the engine's own. Only the pipe differs: a transfer runs at
+its contact's bandwidth, and a copy that cannot finish before the
+contact ends is not sent on it. Transfers are serial within a
 contact; a contact closing mid-transfer discards the partial bytes.
 Overlapping contacts of one pair share a link at the first contact's
 bandwidth until the last of them ends. TTL expiry is applied at each

@@ -278,25 +278,19 @@ def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
 
 
 class Simulation:
-    """The world of a run and the routing planes on it.
+    """The world of a run (see the module docstring) and its routing
+    planes, `planes`.
 
-    The world is what every router sees alike: the map, mobility, the
-    WiFi role machine with its spatial grids, the world's random streams
-    and event heaps, the clock and the auditors. Who may take the AP role
-    is the world's rule too: `ap_gate` fixes it for the nodes it names;
-    under hrson any other node must be at home, under the other routers
-    it wins a `p_ap` coin from the policy stream after a scan that found
-    no AP.
+    Who may take the AP role is the world's rule: `ap_gate` fixes it for
+    the nodes it names; under hrson any other node must be at home, under
+    the other routers it wins a `p_ap` coin from the policy stream, after
+    a scan that found no AP.
 
-    Routing state lives on the planes (see Plane). The world builds
-    `planes[0]` from its own config; `add_plane` adds one whose config
-    differs from the world's in `traffic` only. run() drives every plane
+    The world builds `planes[0]` from its own config; `add_plane` adds
+    one whose config differs in `traffic` only. run() drives every plane
     and returns the first one's report, leaving each plane's on its
-    `report`. The world never reads routing state, so every plane's
-    report equals a run of its config alone.
-
-    Auditors are called as `aud(sim, t)` every `audit_interval` simulated
-    seconds, after the tick's transfers."""
+    `report`. Auditors are called as `aud(sim, t)` every `audit_interval`
+    simulated seconds, after the tick's transfers."""
 
     def __init__(self, config: ScenarioConfig, seed: int,
                  static_positions: Optional[Sequence[Tuple[float, float]]] = None,
@@ -807,11 +801,12 @@ class Plane:
     associations open, the transfers on them, messages and their metrics,
     the traffic stream and the forwarding policy.
 
-    A plane holds no reference to its world. The world calls it when a
-    link opens or closes and when an AP appears, moves or retires; to
-    share an AP's bandwidth the plane reads the radio states and the AP
-    neighbour table the world hands it. A plane without a world (a
-    contact trace) drives the same methods itself and sets its own rates."""
+    A plane holds no reference to its world, so neither is in a
+    reference cycle. The world calls it when a link opens or closes and
+    when an AP appears, moves or retires; to share an AP's bandwidth the
+    plane reads the radio states and the AP neighbour table the world
+    hands it. A plane without a world, as in a contact trace, is driven
+    by its caller and overrides `_settle_ap` to set its own rates."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
                  radio: Optional[List[RadioState]] = None,
