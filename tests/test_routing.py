@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
