@@ -71,6 +71,28 @@ GOLDEN_DESK = {
         "avg_buffer_time": 9028.940428783671},
 }
 
+# scenario4 cut to 80 nodes and 10 simulated hours (the night and the
+# 08:00 commute), seed 3, with a client rescan period other than the
+# preset's 30 s: 7.5 s is not a whole number of ticks, 29 s is
+RESCAN_CASES = {
+    ("epidemic", 7.5): {
+        "seed": 3, "generated": 412, "delivered": 31, "relayed": 1582,
+        "aborted": 4, "ttl_dropped": 0, "buffer_evicted": 0,
+        "still_buffered": 381, "evicted_copies": 0, "expired_copies": 0,
+        "delivery_rate": 0.07524271844660194,
+        "avg_latency": 12407.235317035134,
+        "overhead_ratio": 50.03225806451613,
+        "avg_buffer_time": 9782.776598327971},
+    ("hrson", 29.0): {
+        "seed": 3, "generated": 412, "delivered": 32, "relayed": 1251,
+        "aborted": 2, "ttl_dropped": 0, "buffer_evicted": 0,
+        "still_buffered": 380, "evicted_copies": 0, "expired_copies": 0,
+        "delivery_rate": 0.07766990291262135,
+        "avg_latency": 12271.551871894033,
+        "overhead_ratio": 38.09375,
+        "avg_buffer_time": 10578.435137282411},
+}
+
 GOLDEN_SCRIPTED = {
     "seed": 1, "generated": 198, "delivered": 150, "relayed": 150,
     "aborted": 1, "ttl_dropped": 0, "buffer_evicted": 48,
@@ -87,6 +109,26 @@ def test_desk_report_matches_golden(router, seed):
     cfg = load_scenario("desk", router=router, duration=DESK_DURATION)
     report = run(cfg, seed)
     assert dataclasses.asdict(report) == GOLDEN_DESK[(router, seed)]
+
+
+def rescan_config(router, client_rescan):
+    return load_scenario("scenario4", router=router, nodes=80,
+                         duration=36000.0,
+                         overrides=[f"radio.client_rescan={client_rescan}"])
+
+
+@pytest.mark.parametrize("router,client_rescan", sorted(RESCAN_CASES))
+def test_rescan_report_matches_golden(router, client_rescan):
+    report = run(rescan_config(router, client_rescan), 3)
+    assert dataclasses.asdict(report) == RESCAN_CASES[(router, client_rescan)]
+
+
+@pytest.mark.parametrize("router,client_rescan", sorted(RESCAN_CASES))
+def test_rescan_case_depends_on_the_rescan_period(router, client_rescan):
+    # the case above guards the client rescan path only if its period
+    # shows in the report: the preset's 30 s must give another one
+    report = run(rescan_config(router, 30.0), 3)
+    assert dataclasses.asdict(report) != RESCAN_CASES[(router, client_rescan)]
 
 
 def test_scripted_two_node_report_matches_golden():
