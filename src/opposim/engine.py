@@ -467,7 +467,11 @@ class Simulation:
 
     def run(self) -> MetricsReport:
         """Run the world and all its planes; returns the first plane's
-        report."""
+        report.
+
+        Tick n is visited at time n * tick, however the loop got there,
+        so a time on the tick grid is the same float whichever ticks were
+        visited before it."""
         cfg = self.config
         tick = cfg.tick
         end = cfg.duration
@@ -475,6 +479,7 @@ class Simulation:
         self._next_audit = self.audit_interval if self.auditors else math.inf
         self._move_idx = 0
         day = 1
+        n = 0
         while self.clock < end:
             t = self.clock
             if t >= day * DAY:
@@ -495,32 +500,35 @@ class Simulation:
             self._radio_step(t)
             for plane in planes:
                 plane._refresh_step(t)
-                plane._transfer_step(t, t + tick)
+                plane._transfer_step(t, (n + 1) * tick)
             while t >= self._next_audit:
                 for aud in self.auditors:
                     aud(self, t)
                 self._next_audit += self.audit_interval
-            self.clock = self._next_tick(t, tick, end, day)
+            n = self._next_tick(n, tick, end, day)
+            self.clock = n * tick
         for plane in planes:
             plane.report = plane._finalize(end)
         return planes[0].report
 
-    def _next_tick(self, t: float, tick: float, end: float, day: int) -> float:
-        nxt = t + tick
+    def _next_tick(self, n: int, tick: float, end: float, day: int) -> int:
+        """Index of the next tick to visit after tick n."""
         if self.moving or self._move_idx < len(self.scripted_moves):
-            return nxt
-        # idle fast-forward: jump to the earliest pending event
+            return n + 1
+        # idle fast-forward: the last tick at or before the earliest
+        # pending event
         horizon = min(end, day * DAY, self._next_audit)
         for heap in (self.radio_events, self.mobility_events):
             if heap:
                 horizon = min(horizon, heap[0][0])
         for plane in self.planes:
             horizon = min(horizon, plane._horizon(tick))
-        if horizon <= nxt:
-            return nxt
-        # land on the tick grid at or before the horizon
-        steps = math.floor((horizon - t) / tick)
-        return t + max(1, steps) * tick
+        m = math.floor(horizon / tick)
+        while m * tick > horizon:
+            m -= 1
+        while (m + 1) * tick <= horizon:
+            m += 1
+        return max(n + 1, m)
 
     # -- mobility ------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
 from opposim.radio import Phase, TimingParams
 from opposim.routing import EpidemicPolicy, buffer_admit
+from opposim.scenario import load_scenario
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
@@ -224,6 +225,18 @@ class TestDeskRuns:
                              audit_interval=300.0)
             sim.run()
         assert positions["a"] == positions["b"]
+
+    def test_observer_leaves_a_fine_tick_report_unchanged(self):
+        # a no-op auditor makes the loop visit ticks the idle fast-forward
+        # would skip; with a 0.3 s tick every visited time must still be
+        # the same float, whichever ticks were visited before it
+        cfg = load_scenario("desk", router="hrson", duration=21600.0,
+                            overrides=["engine.tick=0.3",
+                                       "radio.client_rescan=10"])
+        plain = run(cfg, seed=7)
+        observed = run(cfg, seed=7, auditors=[lambda s, t: None],
+                       audit_interval=7.0)
+        assert observed == plain
 
     def test_hrson_gates_ap_to_home(self):
         cfg = desk_config(router="hrson", duration=7200.0)
