@@ -73,9 +73,10 @@ GOLDEN_DESK = {
 
 # scenario4 cut to 80 nodes and 10 simulated hours (the night and the
 # 08:00 commute), seed 3, with a client rescan period other than the
-# preset's 30 s: 7.5 s is not a whole number of ticks, 29 s is
+# preset's 30 s: 7.5 s is not a whole number of 1 s ticks, and neither
+# 29 s nor 30 s is an exact float multiple of a 0.3 s tick
 RESCAN_CASES = {
-    ("epidemic", 7.5): {
+    ("epidemic", 7.5, 1.0): {
         "seed": 3, "generated": 412, "delivered": 31, "relayed": 1582,
         "aborted": 4, "ttl_dropped": 0, "buffer_evicted": 0,
         "still_buffered": 381, "evicted_copies": 0, "expired_copies": 0,
@@ -83,7 +84,7 @@ RESCAN_CASES = {
         "avg_latency": 12407.235317035134,
         "overhead_ratio": 50.03225806451613,
         "avg_buffer_time": 9782.776598327971},
-    ("hrson", 29.0): {
+    ("hrson", 29.0, 1.0): {
         "seed": 3, "generated": 412, "delivered": 32, "relayed": 1251,
         "aborted": 2, "ttl_dropped": 0, "buffer_evicted": 0,
         "still_buffered": 380, "evicted_copies": 0, "expired_copies": 0,
@@ -91,6 +92,14 @@ RESCAN_CASES = {
         "avg_latency": 12271.551871894033,
         "overhead_ratio": 38.09375,
         "avg_buffer_time": 10578.435137282411},
+    ("hrson", 29.0, 0.3): {
+        "seed": 3, "generated": 412, "delivered": 33, "relayed": 1370,
+        "aborted": 3, "ttl_dropped": 0, "buffer_evicted": 0,
+        "still_buffered": 379, "evicted_copies": 0, "expired_copies": 0,
+        "delivery_rate": 0.08009708737864078,
+        "avg_latency": 13177.970654100463,
+        "overhead_ratio": 40.515151515151516,
+        "avg_buffer_time": 10173.923274656594},
 }
 
 GOLDEN_SCRIPTED = {
@@ -111,24 +120,28 @@ def test_desk_report_matches_golden(router, seed):
     assert dataclasses.asdict(report) == GOLDEN_DESK[(router, seed)]
 
 
-def rescan_config(router, client_rescan):
+def rescan_config(router, client_rescan, tick):
     return load_scenario("scenario4", router=router, nodes=80,
                          duration=36000.0,
-                         overrides=[f"radio.client_rescan={client_rescan}"])
+                         overrides=[f"radio.client_rescan={client_rescan}",
+                                    f"engine.tick={tick}"])
 
 
-@pytest.mark.parametrize("router,client_rescan", sorted(RESCAN_CASES))
-def test_rescan_report_matches_golden(router, client_rescan):
-    report = run(rescan_config(router, client_rescan), 3)
-    assert dataclasses.asdict(report) == RESCAN_CASES[(router, client_rescan)]
+@pytest.mark.parametrize("router,client_rescan,tick", sorted(RESCAN_CASES))
+def test_rescan_report_matches_golden(router, client_rescan, tick):
+    report = run(rescan_config(router, client_rescan, tick), 3)
+    assert (dataclasses.asdict(report)
+            == RESCAN_CASES[(router, client_rescan, tick)])
 
 
-@pytest.mark.parametrize("router,client_rescan", sorted(RESCAN_CASES))
-def test_rescan_case_depends_on_the_rescan_period(router, client_rescan):
+@pytest.mark.parametrize("router,client_rescan,tick", sorted(RESCAN_CASES))
+def test_rescan_case_depends_on_the_rescan_period(router, client_rescan,
+                                                  tick):
     # the case above guards the client rescan path only if its period
     # shows in the report: the preset's 30 s must give another one
-    report = run(rescan_config(router, 30.0), 3)
-    assert dataclasses.asdict(report) != RESCAN_CASES[(router, client_rescan)]
+    report = run(rescan_config(router, 30.0, tick), 3)
+    assert (dataclasses.asdict(report)
+            != RESCAN_CASES[(router, client_rescan, tick)])
 
 
 def test_scripted_two_node_report_matches_golden():
