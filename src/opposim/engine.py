@@ -849,6 +849,7 @@ class Plane:
         self.messages: Dict[int, Message] = {}
         self.msg_status: Dict[int, str] = {}    # live | delivered | ttl | extinct
         self.holders: Dict[int, Set[int]] = {}
+        self.tokens_evicted: Dict[int, int] = {}  # spray tokens lost per msg
         self.next_msg_id = 0
         self.next_create: Optional[float] = next_creation(
             config.traffic, config.traffic.window[0], self.rng_traffic)
@@ -1173,6 +1174,9 @@ class Plane:
     def _handle_evictions(self, nid: int, evicted, now: float) -> None:
         for entry in evicted:
             mid = entry.message.msg_id
+            if self.policy.uses_tokens:
+                self.tokens_evicted[mid] = (self.tokens_evicted.get(mid, 0)
+                                            + entry.tokens)
             self.holders[mid].discard(nid)
             self.collector.on_copy_removed(nid, mid, now, "evicted")
             self._note_copy_gone(mid, now)
@@ -1185,15 +1189,16 @@ class Plane:
     # -- audits ---------------------------------------------------------------
 
     def _check_tokens(self, t: float) -> None:
-        """Spray custody invariant: per message, buffered tokens sum to the
-        initial budget until delivery or expiry; custodians never exceed it."""
+        """Spray custody invariant: per message, buffered tokens plus the
+        tokens evicted copies took with them sum to the initial budget until
+        delivery or expiry; custodians never exceed it."""
         if not self.policy.uses_tokens:
             return
         for mid, status in self.msg_status.items():
             if status != "live":
                 continue
             msg = self.messages[mid]
-            total = 0
+            total = self.tokens_evicted.get(mid, 0)
             for holder in self.holders[mid]:
                 entry = self.buffers[holder].get(mid)
                 if entry is not None:

@@ -325,7 +325,8 @@ class TestEngineInvariants:
                                               token_audit):
         # every plane's hand-kept structures against a recount from its
         # links and buffers, every 2 s on three planes of one world; small
-        # buffers add evictions, which the token audit does not allow for
+        # buffers add evictions (the token audit under evictions has a
+        # test of its own)
         cfg = desk_config(router="snw", interval=(20.0, 40.0),
                           duration=36000.0, buffer_capacity=buffer_capacity,
                           ttl=3000.0)
@@ -342,6 +343,20 @@ class TestEngineInvariants:
             rep = plane.report
             assert min(rep.ttl_dropped, rep.aborted) > 0
             assert (rep.evicted_copies > 0) == (buffer_capacity < 100 * MB)
+
+    def test_token_audit_counts_tokens_lost_to_eviction(self):
+        # 4 MB buffers evict live spray copies, and an evicted copy takes
+        # its tokens with it; copies 2, 4 and 8 run as planes of one world
+        cfg = desk_config(router="snw", interval=(20.0, 40.0),
+                          duration=36000.0, buffer_capacity=4 * MB,
+                          ttl=3000.0)
+        sim = Simulation(apply_sweep_value(cfg, "copies", 2), seed=21,
+                         token_audit=True)
+        for copies in (4, 8):
+            sim.add_plane(apply_sweep_value(cfg, "copies", copies))
+        sim.run()
+        for plane in sim.planes:
+            assert plane.report.evicted_copies > 0
 
     def test_desk_day_completes_quickly(self):
         import time
