@@ -336,6 +336,12 @@ class Simulation:
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
         self.moving: Set[int] = set()
         self.client_scan_key: Dict[int, Tuple] = {}
+        # a CLIENT whose rescan found nothing changed sleeps on the cells
+        # of its ring: asleep[nid] is its token (poll time, epoch), and
+        # watchers[cell] maps each node that slept on the cell to its token
+        self.asleep: List[Optional[Tuple[float, int]]] = [None] * n
+        self.watchers: Dict[Tuple[int, int], Dict[int, Tuple[float, int]]] = {}
+        self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
 
         self._init_positions()
         self._init_radio()
@@ -411,7 +417,45 @@ class Simulation:
                        (time, nid, self._radio_seq, kind, self.epoch[nid]))
 
     def _bump_cell(self, cell: Tuple[int, int]) -> None:
+        """Something in the cell changed: bump its version and wake the
+        clients asleep on it whose token is still current."""
         self.cellver[cell] = self.cellver.get(cell, 0) + 1
+        sleepers = self.watchers.pop(cell, None)
+        if sleepers:
+            asleep = self.asleep
+            epoch = self.epoch
+            for nid, token in sleepers.items():
+                if asleep[nid] == token and token[1] == epoch[nid]:
+                    asleep[nid] = None
+                    self._push_radio(self._next_poll(nid, token[0]), nid,
+                                     "rescan")
+
+    def _next_poll(self, nid: int, last: float) -> float:
+        """Event time of the first poll that has not run yet in the chain
+        a client polling every `client_rescan` would have run after its
+        poll at tick `last`. Each poll is handled at the first tick at or
+        after its event time and pushes the next one from that tick.
+
+        A poll due at the current tick has run if its event sorts below
+        the largest live event handled so far. The poll would have been in
+        the heap since an earlier tick, so it went before any larger
+        event; an event that goes after a larger one was pushed by a
+        handler after that one ran. A poll pushes nothing for the tick it
+        runs in, so the largest event handled is never a poll, and the
+        polling loop handled it too."""
+        rescan = self.config.radio.client_rescan
+        tick = self.config.tick
+        now = self.clock
+        while True:
+            due = last + rescan
+            n = math.ceil(due / tick)
+            while n * tick < due:
+                n += 1
+            while (n - 1) * tick >= due:
+                n -= 1
+            last = n * tick
+            if last > now or (last == now and (due, nid) > self._radio_mark):
+                return due
 
     def _neighbors(self, nid: int,
                    grid: Dict[Tuple[int, int], Dict[int, None]]) -> List[int]:
@@ -602,9 +646,12 @@ class Simulation:
     def _radio_step(self, t: float) -> None:
         events = self.radio_events
         while events and events[0][0] <= t:
-            _, nid, _, kind, epoch = heapq.heappop(events)
+            event = heapq.heappop(events)
+            _, nid, _, kind, epoch = event
             if epoch != self.epoch[nid]:
                 continue
+            if event > self._radio_mark:
+                self._radio_mark = event
             if kind == "phase":
                 self._phase_event(nid, t)
             elif kind == "apcheck":
@@ -755,15 +802,39 @@ class Simulation:
             self._push_radio(state.timer_expiry, nid, "phase")
 
     def _client_rescan(self, nid: int, t: float) -> None:
+        """A CLIENT's background look for a faster AP, `client_rescan`
+        after it connected or last scanned.
+
+        When the versions of the nine cells around it and its AP are those
+        of its last scan, it does not scan: it sleeps, registered on those
+        cells, until `_bump_cell` wakes it with the poll that a client
+        polling every `client_rescan` would have handled next. That poll
+        is the first to find a changed key, so the reports are those of
+        the polling loop:
+
+        - `cellver` only grows: until a cell of the ring is bumped every
+          poll finds the same key and only pushes the next one, and after
+          it every poll finds a changed one.
+        - A client that changes cell bumps its old cell, which is in the
+          ring it slept on.
+        - A change of AP goes through detach and connect; detach bumps
+          `epoch`, which voids the token, and connect starts a new chain.
+        - `_radio_seq` breaks ties only between events of one node at one
+          time, and a CLIENT has at most one live event, so the polls
+          left out reorder nothing.
+        - A tick with no event does nothing, and tick n is visited at
+          n * tick, so the idle fast-forward may skip the ticks the polls
+          used to force."""
         state = self.radio[nid]
         if state.phase is not Phase.CLIENT:
             return
-        # Skip the scan when the RF neighborhood looks unchanged; moving
-        # nodes bump their cells every tick so nothing stale hides here.
-        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
-               state.attached_ap)
+        ring = _ring(*self.node_cell[nid])
+        key = (*map(self.cellver.get, ring), state.attached_ap)
         if self.client_scan_key.get(nid) == key:
-            self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
+            token = (t, self.epoch[nid])
+            self.asleep[nid] = token
+            for cell in ring:
+                self.watchers.setdefault(cell, {})[nid] = token
             return
         self.client_scan_key[nid] = key
         self._push_radio(t + self.timing.t_scan, nid, "rescan_result")

@@ -6,8 +6,8 @@ import pytest
 
 from opposim.engine import (
     AuditError, ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
-    ScenarioConfig, Simulation, _co_channel_count, apply_sweep_value, run,
-    run_batch, stream_rng, sweep,
+    ScenarioConfig, Simulation, _co_channel_count, _ring, apply_sweep_value,
+    run, run_batch, stream_rng, sweep,
 )
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
@@ -98,6 +98,39 @@ def recount_planes(sim, t):
                 assert entry.pinned == ((nid, mid) in pinned)
                 held.setdefault(mid, set()).add(nid)
         assert {mid: h for mid, h in plane.holders.items() if h} == held
+
+
+def recount_world(sim, t):
+    """Auditor: node_cell, grid and ap_grid recomputed from positions and
+    radio phases; every CLIENT either has one live event, a rescan or its
+    result, or sleeps with a current token on all nine cells of its ring;
+    no other node has a rescan event or a current token."""
+    size = sim.cell_size
+    cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
+    assert sim.node_cell == cells
+    grid, ap_grid = {}, {}
+    for nid, cell in enumerate(cells):
+        grid.setdefault(cell, set()).add(nid)
+        if sim.radio[nid].phase is Phase.AP:
+            ap_grid.setdefault(cell, set()).add(nid)
+    assert {c: set(b) for c, b in sim.grid.items() if b} == grid
+    assert {c: set(b) for c, b in sim.ap_grid.items()} == ap_grid
+    live = {}
+    for _, nid, _, kind, epoch in sim.radio_events:
+        if epoch == sim.epoch[nid]:
+            live.setdefault(nid, []).append(kind)
+    for nid, state in enumerate(sim.radio):
+        token = sim.asleep[nid]
+        asleep = token is not None and token[1] == sim.epoch[nid]
+        if state.phase is Phase.CLIENT and asleep:
+            assert nid not in live
+            for cell in _ring(*cells[nid]):
+                assert sim.watchers[cell][nid] == token
+        elif state.phase is Phase.CLIENT:
+            assert live.get(nid) in (["rescan"], ["rescan_result"])
+        else:
+            assert not asleep
+            assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
 
 
 class TestScriptedTwoNode:
@@ -358,6 +391,29 @@ class TestEngineInvariants:
         for plane in sim.planes:
             assert plane.report.evicted_copies > 0
 
+    def test_world_structures_match_a_recount(self):
+        # grids, cells and rescan sleepers against a recount every 2 s
+        # through the night and the 08:00 commute on the city map
+        cfg = load_scenario("scenario4", router="hrson", nodes=80,
+                            duration=36000.0)
+        seen = []
+
+        def count(sim, t):
+            clients = [n for n, st in enumerate(sim.radio)
+                       if st.phase is Phase.CLIENT]
+            asleep = sum(1 for n in clients if sim.asleep[n] is not None
+                         and sim.asleep[n][1] == sim.epoch[n])
+            seen.append((asleep, len(clients) - asleep, len(sim.moving)))
+
+        sim = Simulation(cfg, seed=3, auditors=[recount_world, count],
+                         audit_interval=2.0)
+        sim.run()
+        assert len(seen) == 17999
+        # clients slept and woke, and nodes moved while others slept
+        assert max(a for a, _, _ in seen) > 0
+        assert max(w for _, w, _ in seen) > 0
+        assert any(a and m for a, _, m in seen)
+
     def test_desk_day_completes_quickly(self):
         import time
         cfg = desk_config(duration=86400.0, interval=(120.0, 180.0))
@@ -380,6 +436,50 @@ class TestEngineInvariants:
             assert rep.relayed >= rep.delivered
             if rep.overhead_ratio is not None:
                 assert rep.overhead_ratio >= 0.0
+
+
+class PollingSimulation(Simulation):
+    """The world with the client rescan loop that sleeping clients
+    replaced: a CLIENT whose rescan finds nothing changed polls again
+    `client_rescan` later. It never sleeps, so nothing wakes it."""
+
+    def _client_rescan(self, nid, t):
+        state = self.radio[nid]
+        if state.phase is not Phase.CLIENT:
+            return
+        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
+               state.attached_ap)
+        if self.client_scan_key.get(nid) == key:
+            self._push_radio(t + self.config.radio.client_rescan, nid,
+                             "rescan")
+            return
+        self.client_scan_key[nid] = key
+        self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
+
+
+class TestClientRescan:
+    """Sleeping clients give the reports of clients that poll."""
+
+    @pytest.mark.parametrize("preset,router,seed,duration,overrides", [
+        # a 13.3 s period is off the 1 s grid; with zero connect and AP
+        # times a bump in the radio step often meets a poll due that tick
+        ("desk", "hrson", 48, 50000.0, ["radio.client_rescan=13.3",
+                                        "radio.connect_time=0",
+                                        "radio.ap_time=0"]),
+        ("desk", "hrson", 53, 36000.0, ["engine.tick=0.25",
+                                        "radio.client_rescan=29"]),
+        ("desk", "snw", 34, 50000.0, ["radio.client_rescan=0.9",
+                                      "radio.range=30"]),
+        ("scenario4", "epidemic", 3, 36000.0, ["engine.tick=0.3",
+                                               "radio.client_rescan=7.5"]),
+    ])
+    def test_reports_equal_polling_clients(self, preset, router, seed,
+                                           duration, overrides):
+        kw = {"nodes": 80} if preset == "scenario4" else {}
+        cfg = load_scenario(preset, router=router, duration=duration,
+                            overrides=overrides, **kw)
+        assert Simulation(cfg, seed).run() == PollingSimulation(cfg,
+                                                                seed).run()
 
 
 class SpyPolicy(EpidemicPolicy):
