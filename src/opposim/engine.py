@@ -266,6 +266,17 @@ def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
             (x1, y0), (x1, cy), (x1, y1))
 
 
+def _tick_index(time: float, tick: float) -> int:
+    """The last tick at or before `time`: the largest n with
+    n * tick <= time, in the float arithmetic the clock uses."""
+    n = math.floor(time / tick)
+    while n * tick > time:
+        n -= 1
+    while (n + 1) * tick <= time:
+        n += 1
+    return n
+
+
 def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
                       nid: int) -> int:
     """APs within range of AP nid sharing its channel, incl. itself."""
@@ -448,11 +459,9 @@ class Simulation:
         now = self.clock
         while True:
             due = last + rescan
-            n = math.ceil(due / tick)
-            while n * tick < due:
+            n = _tick_index(due, tick)
+            if n * tick < due:
                 n += 1
-            while (n - 1) * tick >= due:
-                n -= 1
             last = n * tick
             if last > now or (last == now and (due, nid) > self._radio_mark):
                 return due
@@ -567,12 +576,7 @@ class Simulation:
                 horizon = min(horizon, heap[0][0])
         for plane in self.planes:
             horizon = min(horizon, plane._horizon(tick))
-        m = math.floor(horizon / tick)
-        while m * tick > horizon:
-            m -= 1
-        while (m + 1) * tick <= horizon:
-            m += 1
-        return max(n + 1, m)
+        return max(n + 1, _tick_index(horizon, tick))
 
     # -- mobility ------------------------------------------------------------------
 
