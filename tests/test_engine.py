@@ -461,8 +461,8 @@ class TestClientRescan:
     """Sleeping clients give the reports of clients that poll."""
 
     @pytest.mark.parametrize("preset,router,seed,duration,overrides", [
-        # a 13.3 s period is off the 1 s grid; with zero connect and AP
-        # times a bump in the radio step often meets a poll due that tick
+        # 13.3 s is off the 1 s grid, and zero connect and AP times push
+        # events for the current tick, which go out of heap order
         ("desk", "hrson", 48, 50000.0, ["radio.client_rescan=13.3",
                                         "radio.connect_time=0",
                                         "radio.ap_time=0"]),
