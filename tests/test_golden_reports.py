@@ -144,6 +144,41 @@ def test_rescan_case_depends_on_the_rescan_period(router, client_rescan,
             != RESCAN_CASES[(router, client_rescan, tick)])
 
 
+# scenario4 cut to 80 nodes and 10 simulated hours, seed 3, under hrson:
+# at night a phone alone at home loops scan, take the AP role, idle and
+# retire. A 0.3 s tick, an AP idle timeout off that grid and a zero AP
+# time move every step of that loop off the preset's whole seconds.
+AP_CYCLE_OVERRIDES = ["engine.tick=0.3", "radio.ap_time=0"]
+AP_CYCLE_CASE = {
+    "seed": 3, "generated": 412, "delivered": 31, "relayed": 1325,
+    "aborted": 3, "ttl_dropped": 0, "buffer_evicted": 0,
+    "still_buffered": 381, "evicted_copies": 0, "expired_copies": 0,
+    "delivery_rate": 0.07524271844660194,
+    "avg_latency": 12361.194147196546,
+    "overhead_ratio": 41.74193548387097,
+    "avg_buffer_time": 10313.171142312896,
+}
+
+
+def ap_cycle_config(ap_idle_timeout):
+    return load_scenario("scenario4", router="hrson", nodes=80,
+                         duration=36000.0,
+                         overrides=AP_CYCLE_OVERRIDES
+                         + [f"radio.ap_idle_timeout={ap_idle_timeout}"])
+
+
+def test_ap_cycle_report_matches_golden():
+    report = run(ap_cycle_config(45.5), 3)
+    assert dataclasses.asdict(report) == AP_CYCLE_CASE
+
+
+def test_ap_cycle_case_depends_on_the_idle_timeout():
+    # the case above guards the AP cycle only if its idle timeout shows in
+    # the report: the preset's 60 s must give another one
+    report = run(ap_cycle_config(60.0), 3)
+    assert dataclasses.asdict(report) != AP_CYCLE_CASE
+
+
 def test_scripted_two_node_report_matches_golden():
     # node 1 walks out of range at 201 s, aborting the transfer in flight,
     # and returns at 400 s; the traffic created meanwhile overflows the
