@@ -119,8 +119,11 @@ class RadioConfig:
     stagger: bool = True               # randomize first scan start per node
 
     def validate(self) -> None:
-        self.timing.validate()
-        self.link.validate()
+        try:
+            self.timing.validate()
+            self.link.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (0 <= self.p_ap <= 1):
             raise ConfigError("p_ap must be in [0, 1]")
         if self.client_rescan <= 0 or self.switch_ratio < 1:
@@ -275,6 +278,16 @@ def _tick_index(time: float, tick: float) -> int:
     while (n + 1) * tick <= time:
         n += 1
     return n
+
+
+def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
+                 cell: Tuple[int, int]) -> None:
+    """Take nid out of its bucket in a spatial grid; an emptied bucket
+    goes, so a grid holds only the cells that hold a node."""
+    bucket = grid[cell]
+    del bucket[nid]
+    if not bucket:
+        del grid[cell]
 
 
 def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
@@ -609,11 +622,11 @@ class Simulation:
                     int(newpos[1] // self.cell_size))
         is_ap = self.radio[nid].phase is Phase.AP
         if new_cell != old_cell:
-            self.grid[old_cell].pop(nid, None)
+            _grid_remove(self.grid, nid, old_cell)
             self.grid.setdefault(new_cell, {})[nid] = None
             self.node_cell[nid] = new_cell
             if is_ap:
-                self._ap_grid_remove(nid, old_cell)
+                _grid_remove(self.ap_grid, nid, old_cell)
                 self.ap_grid.setdefault(new_cell, {})[nid] = None
         self._bump_cell(old_cell)
         if new_cell != old_cell:
@@ -744,17 +757,11 @@ class Simulation:
         state.reset_to_scan(t, self.timing)
         self._push_radio(state.timer_expiry, nid, "phase")
         cell = self.node_cell[nid]
-        self._ap_grid_remove(nid, cell)
+        _grid_remove(self.ap_grid, nid, cell)
         near = self.ap_near[nid]
         self._set_ap_near(nid, ())
         self._bump_cell(cell)
         self._resettle_neighborhood(nid, near, t)
-
-    def _ap_grid_remove(self, nid: int, cell: Tuple[int, int]) -> None:
-        bucket = self.ap_grid[cell]
-        del bucket[nid]
-        if not bucket:
-            del self.ap_grid[cell]
 
     def _finish_connect(self, nid: int, t: float) -> None:
         state = self.radio[nid]

@@ -30,6 +30,10 @@ class TimingParams:
     def validate(self) -> None:
         if min(self.t_scan, self.t_rest, self.t_ap, self.t_connect) < 0:
             raise ValueError("timing parameters must be nonnegative")
+        if self.t_scan + self.t_rest == 0:
+            # a node refused the AP role would scan and rest forever
+            # without the clock moving
+            raise ValueError("scan_time and rest_time cannot both be zero")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,15 @@ class TestConfigValidation:
                 desk_config(),
                 mobility=MobilitySettings(group_sizes=(1, 0, 0, 0, 0))).validate()
 
+    def test_zero_scan_and_rest_rejected(self):
+        # a node refused the AP role would scan and rest forever at one
+        # instant; the run is never started
+        with pytest.raises(ConfigError, match="scan_time and rest_time"):
+            load_scenario("desk", overrides=["radio.scan_time=0",
+                                             "radio.rest_time=0"])
+        load_scenario("desk", overrides=["radio.scan_time=0"])
+        load_scenario("desk", overrides=["radio.rest_time=0"])
+
     def test_rng_streams_independent_and_stable(self):
         a = stream_rng(7, "traffic").random(4)
         b = stream_rng(7, "traffic").random(4)
@@ -113,7 +122,7 @@ def recount_world(sim, t):
         grid.setdefault(cell, set()).add(nid)
         if sim.radio[nid].phase is Phase.AP:
             ap_grid.setdefault(cell, set()).add(nid)
-    assert {c: set(b) for c, b in sim.grid.items() if b} == grid
+    assert {c: set(b) for c, b in sim.grid.items()} == grid
     assert {c: set(b) for c, b in sim.ap_grid.items()} == ap_grid
     live = {}
     for _, nid, _, kind, epoch in sim.radio_events:

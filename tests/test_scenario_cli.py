@@ -116,6 +116,14 @@ class TestCli:
         assert (out / "runs.csv").exists()
         assert (out / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize("override", ["radio.scan_time=-1",
+                                          "radio.range=-1"])
+    def test_bad_radio_setting_is_reported_not_raised(self, override,
+                                                      capsys):
+        rc = main(["run", "--scenario", "desk", "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unwritable_report_is_reported_not_raised(self, tmp_path, capsys):
         out = tmp_path / "res"
         (out / "runs.csv").mkdir(parents=True)
