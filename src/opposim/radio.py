@@ -8,9 +8,13 @@ connect), which is where the network build/rebuild delays come from:
     initiate   = t_scan + t_ap + t_scan + t_connect   (no AP anywhere)
     reinitiate = t_scan + t_connect                   (another AP in range)
 
-Channel assignment spreads co-located access points over a small set of
-non-overlapping channels; link bandwidth divides by co-channel neighbors
-and by the AP's concurrently active transfers.
+A new access point takes the least-loaded of a small set of
+non-overlapping channels among the access points in its range. A node
+takes the AP role only after a scan that found no access point, so in
+practice every new one has none in range and takes channel 1; access
+points that come into range later, as nodes move, share it. Link
+bandwidth divides by co-channel access points in range and by the AP's
+concurrently active transfers.
 """
 
 from __future__ import annotations

@@ -361,6 +361,27 @@ class TestEngineInvariants:
         assert crowded, "no two APs were ever in range of each other"
         assert mismatches == []
 
+    @pytest.mark.parametrize("preset,router", [("desk", "snw"),
+                                               ("desk", "epidemic"),
+                                               ("scenario4", "hrson")])
+    def test_a_new_ap_has_no_ap_in_range(self, preset, router):
+        # step_radio takes the AP role only after a scan that found no AP,
+        # so assign_channel never sees a neighbour and every new AP takes
+        # channel 1; replaying a dormant node's AP cycle relies on it
+        seen = []
+
+        class Watched(Simulation):
+            def _ap_created(self, nid, t):
+                seen.append(self._neighbors(nid, self.ap_grid))
+                super()._ap_created(nid, t)
+                assert self.radio[nid].channel == 1
+
+        kw = {"nodes": 80} if preset == "scenario4" else {}
+        cfg = load_scenario(preset, router=router, duration=36000.0, **kw)
+        Watched(cfg, 3).run()
+        assert len(seen) > 100
+        assert not any(seen)
+
     @pytest.mark.parametrize("buffer_capacity,token_audit", [
         (100 * MB, True), (4 * MB, False)])
     def test_plane_structures_match_a_recount(self, buffer_capacity,
