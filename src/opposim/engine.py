@@ -16,6 +16,14 @@ bandwidth for the next queued one. Everything is driven by per-node wake
 times kept in heaps, which lets quiet stretches (a parked night, an empty
 map) skip ahead instead of burning ticks.
 
+A phone alone at home under hrson would loop all night through scan, AP
+role, an idle minute and retirement. An AP that retires alone in the
+cells around it, standing still, under a gate that draws nothing goes
+dormant: its radio events leave the world's heap. When a node enters
+those cells, its own mobility wake comes due, the auditors run or the
+run ends, its events are handled at the ticks the live loop would have
+handled them, with the live handlers' steps (`Simulation._catch_up`).
+
 Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
 radio, policy) so reconfiguring one layer never perturbs another.
@@ -280,6 +288,13 @@ def _tick_index(time: float, tick: float) -> int:
     return n
 
 
+def _tick_at_or_after(time: float, tick: float) -> int:
+    """The first tick at or after `time`: the tick whose radio step
+    handles an event due then, whichever ticks the loop visits."""
+    n = _tick_index(time, tick)
+    return n if n * tick >= time else n + 1
+
+
 def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
                  cell: Tuple[int, int]) -> None:
     """Take nid out of its bucket in a spatial grid; an emptied bucket
@@ -288,6 +303,23 @@ def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
     del bucket[nid]
     if not bucket:
         del grid[cell]
+
+
+class _Dormant:
+    """A dormant node's own radio events, kept off the world's heap: a heap
+    of (time, seq, kind, epoch), pushed as `Simulation._push_radio` would
+    push them."""
+
+    __slots__ = ("events", "epoch", "seq")
+
+    def __init__(self, epoch: List[int]):
+        self.events: List[Tuple[float, int, str, int]] = []
+        self.epoch = epoch              # the world's epoch list
+        self.seq = 0
+
+    def push(self, time: float, nid: int, kind: str) -> None:
+        self.seq += 1
+        heapq.heappush(self.events, (time, self.seq, kind, self.epoch[nid]))
 
 
 def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
@@ -366,6 +398,11 @@ class Simulation:
         self.asleep: List[Optional[Tuple[float, int]]] = [None] * n
         self.watchers: Dict[Tuple[int, int], Dict[int, Tuple[float, int]]] = {}
         self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
+        # a retired AP alone in its ring goes dormant (see _catch_up):
+        # dormant[nid] holds its events, dormant_on[cell] the dormant nodes
+        # whose ring holds the cell
+        self.dormant: Dict[int, _Dormant] = {}
+        self.dormant_on: Dict[Tuple[int, int], Dict[int, None]] = {}
 
         self._init_positions()
         self._init_radio()
@@ -472,10 +509,7 @@ class Simulation:
         now = self.clock
         while True:
             due = last + rescan
-            n = _tick_index(due, tick)
-            if n * tick < due:
-                n += 1
-            last = n * tick
+            last = _tick_at_or_after(due, tick) * tick
             if last > now or (last == now and (due, nid) > self._radio_mark):
                 return due
 
@@ -567,12 +601,18 @@ class Simulation:
             for plane in planes:
                 plane._refresh_step(t)
                 plane._transfer_step(t, (n + 1) * tick)
+            if t >= self._next_audit:
+                # the auditors see dormant nodes as the live loop has them
+                for nid in self.dormant:
+                    self._catch_up(nid, n)
             while t >= self._next_audit:
                 for aud in self.auditors:
                     aud(self, t)
                 self._next_audit += self.audit_interval
             n = self._next_tick(n, tick, end, day)
             self.clock = n * tick
+        for nid in list(self.dormant):
+            self._wake(nid, n - 1)
         for plane in planes:
             plane.report = plane._finalize(end)
         return planes[0].report
@@ -598,6 +638,8 @@ class Simulation:
         events = self.mobility_events
         while events and events[0][0] <= t:
             _, nid = heapq.heappop(events)
+            if nid in self.dormant:
+                self._wake(nid, _tick_index(t, self.config.tick) - 1)
             nxt, extras = model.wake(nid, t)
             if nxt is not None:
                 heapq.heappush(events, (nxt, nid))
@@ -616,10 +658,19 @@ class Simulation:
                     t: float) -> None:
         if newpos == self.pos[nid]:
             return
-        self.pos[nid] = newpos
         old_cell = self.node_cell[nid]
         new_cell = (int(newpos[0] // self.cell_size),
                     int(newpos[1] // self.cell_size))
+        if self.dormant and (nid in self.dormant
+                             or new_cell in self.dormant_on):
+            # a dormant node that moves, or whose ring nid enters, wakes
+            # as the live loop has it before this tick's radio step
+            last = _tick_index(t, self.config.tick) - 1
+            if nid in self.dormant:
+                self._wake(nid, last)
+            for other in list(self.dormant_on.get(new_cell, ())):
+                self._wake(other, last)
+        self.pos[nid] = newpos
         is_ap = self.radio[nid].phase is Phase.AP
         if new_cell != old_cell:
             _grid_remove(self.grid, nid, old_cell)
@@ -685,35 +736,21 @@ class Simulation:
         if state.phase is Phase.CONNECTING:
             self._finish_connect(nid, t)
             return
-        if state.phase in (Phase.SCANNING, Phase.BECOMING_AP):
-            visible = self._visible_aps(nid)
-            permits = False
-            if not visible and state.phase is Phase.SCANNING:
-                permits = self._ap_allowed(nid)
-            step_radio(state, permits, visible, t, self.timing)
-            if state.phase is Phase.AP:
-                self._ap_created(nid, t)
-            else:
-                self._push_radio(state.timer_expiry, nid, "phase")
-            return
-        # IDLE / RESTING
-        step_radio(state, False, [], t, self.timing)
-        self._push_radio(state.timer_expiry, nid, "phase")
+        visible = (self._visible_aps(nid)
+                   if state.phase in (Phase.SCANNING, Phase.BECOMING_AP)
+                   else [])
+        if self._timer_step(nid, state, visible, t, self._push_radio):
+            self._ap_created(nid, t)
 
     def _ap_created(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
         near = self._neighbors(nid, self.ap_grid)
-        state.channel = assign_channel([self.radio[o].channel for o in near],
-                                       self.link_model.num_channels)
-        state.clients = {}
+        self._take_ap_role(nid, self.radio[nid], near, t, self._push_radio)
         for plane in self.planes:
             plane.ap_active[nid] = {}
         cell = self.node_cell[nid]
         self.ap_grid.setdefault(cell, {})[nid] = None
         self._set_ap_near(nid, near)
         self._bump_cell(cell)
-        self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
-        self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
         self._resettle_neighborhood(nid, near, t)
 
     def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
@@ -737,15 +774,8 @@ class Simulation:
                 plane._settle_ap(other, t)
 
     def _apcheck_event(self, nid: int, t: float) -> None:
-        state = self.radio[nid]
-        if state.phase is not Phase.AP:
-            return
-        if ap_due_retirement(state, t, self.config.radio.ap_idle_timeout,
-                             self.config.radio.ap_max_duration):
+        if self._apcheck_step(nid, self.radio[nid], t, self._push_radio):
             self._retire_ap(nid, t)
-        elif not state.clients:
-            nxt = state.last_client_change + self.config.radio.ap_idle_timeout
-            self._push_radio(max(nxt, t + 1e-9), nid, "apcheck")
 
     def _retire_ap(self, nid: int, t: float) -> None:
         state = self.radio[nid]
@@ -753,15 +783,172 @@ class Simulation:
             self._detach_client(client, t, rescan=True, ap_alive=False)
         for plane in self.planes:
             plane.ap_active.pop(nid, None)
-        self.epoch[nid] += 1
-        state.reset_to_scan(t, self.timing)
-        self._push_radio(state.timer_expiry, nid, "phase")
         cell = self.node_cell[nid]
+        push = self._push_radio
+        if self._may_go_dormant(nid):
+            record = self.dormant[nid] = _Dormant(self.epoch)
+            for ring_cell in _ring(*cell):
+                self.dormant_on.setdefault(ring_cell, {})[nid] = None
+            push = record.push
+        self._leave_ap_role(nid, state, t, push)
         _grid_remove(self.ap_grid, nid, cell)
         near = self.ap_near[nid]
         self._set_ap_near(nid, ())
         self._bump_cell(cell)
         self._resettle_neighborhood(nid, near, t)
+
+    # -- the AP cycle ---------------------------------------------------------
+    # A node's own steps through scan, AP role and retirement. The live
+    # handlers call them with `_push_radio` and update the world around
+    # them; a dormant node's replay calls them with its own event list and
+    # updates the world once, when it is done.
+
+    def _timer_step(self, nid: int, state: RadioState, visible, t: float,
+                    push: Callable) -> bool:
+        """A scanning, resting or becoming-AP node whose timer ran out takes
+        its next phase, asking the AP gate after a scan that found no AP.
+        True if it took the AP role; else its next phase event is pushed."""
+        permits = (not visible and state.phase is Phase.SCANNING
+                   and self._ap_allowed(nid))
+        step_radio(state, permits, visible, t, self.timing)
+        if state.phase is Phase.AP:
+            return True
+        push(state.timer_expiry, nid, "phase")
+        return False
+
+    def _take_ap_role(self, nid: int, state: RadioState, near, t: float,
+                      push: Callable) -> None:
+        """A new AP takes the least-loaded channel among the APs `near` it
+        and checks for retirement at its longest term and its first idle
+        deadline."""
+        state.channel = assign_channel([self.radio[o].channel for o in near],
+                                       self.link_model.num_channels)
+        state.clients = {}
+        push(t + self.config.radio.ap_max_duration, nid, "apcheck")
+        push(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
+
+    def _apcheck_step(self, nid: int, state: RadioState, t: float,
+                      push: Callable) -> bool:
+        """True if the AP is due to retire; else an AP without clients
+        checks again at its idle deadline."""
+        if state.phase is not Phase.AP:
+            return False
+        radio = self.config.radio
+        if ap_due_retirement(state, t, radio.ap_idle_timeout,
+                             radio.ap_max_duration):
+            return True
+        if not state.clients:
+            nxt = state.last_client_change + radio.ap_idle_timeout
+            push(max(nxt, t + 1e-9), nid, "apcheck")
+        return False
+
+    def _leave_ap_role(self, nid: int, state: RadioState, t: float,
+                       push: Callable) -> None:
+        """A retiring AP voids its pending events and scans again."""
+        self.epoch[nid] += 1
+        state.reset_to_scan(t, self.timing)
+        push(state.timer_expiry, nid, "phase")
+
+    # -- dormant nodes -----------------------------------------------------------
+
+    def _may_go_dormant(self, nid: int) -> bool:
+        """A retiring AP goes dormant when no other node is in its ring, it
+        is not moving (its next move would wake it), and the AP gate
+        answers it without a draw: a fixed `ap_gate` entry, or the home
+        gate, which answers yes at home and no elsewhere."""
+        if nid in self.moving or not (self.home_gate or nid in self.ap_gate):
+            return False
+        grid = self.grid
+        own = self.node_cell[nid]
+        if len(grid[own]) > 1:
+            return False
+        for cell in _ring(*own):
+            if cell != own and cell in grid:
+                return False
+        return True
+
+    def _catch_up(self, nid: int, last: int) -> None:
+        """Handle dormant nid's events due up to tick `last`, each at the
+        tick the live loop handles it, with the steps the live handlers
+        take, then update the world around nid once.
+
+        Left alone, such a node loops through scan, AP role and retirement
+        until a node enters its ring, its own mobility wake comes due or
+        the run ends, and the reports are those of the live loop:
+
+        - An event is handled at the first tick at or after its time,
+          whichever ticks the loop visits, and tick n is visited at
+          n * tick. A tick with no event does nothing, so the idle
+          fast-forward may skip the ticks a dormant node's events forced.
+        - Nothing nid reads changes while it sleeps. Its scans find no AP:
+          `_apply_move` wakes it before a node enters its ring. The home
+          gate reads nid's activity, which only nid's own mobility wake
+          changes, and that wake wakes it first; `begin_day` plans the
+          next day and moves no one. A fixed `ap_gate` entry is fixed.
+        - Nothing nid changes is read while it sleeps. Range is one cell,
+          so no node outside its ring sees it; it has no clients and no
+          links; a new AP has no AP in range, so it takes channel 1 and
+          its `ap_near` stays empty. A node connecting to it from afar
+          fails on range whatever its phase, and the auditors see it
+          caught up to their tick.
+        - Its cell bumps wake no sleeper: a client sleeps on its own ring,
+          so one that watched nid's cell would be in nid's ring.
+        - `_radio_mark` cannot tell a skipped event apart. nid's steps
+          push nid's events only, so an event of another node handled
+          after one of nid's descends from an event that was in the heap
+          when nid's was popped, and sorts above it. Whenever another
+          node's handler reads the mark, it already lies above every
+          event nid would have handled.
+        - `_radio_seq` breaks ties only between events of one node at one
+          time, and `_wake` returns nid's events to the heap in the order
+          nid pushed them.
+        - The gate draws nothing, so `rng_policy` is drawn as before."""
+        record = self.dormant[nid]
+        events = record.events
+        push = record.push
+        state = self.radio[nid]
+        tick = self.config.tick
+        upto = last * tick
+        was_ap = state.phase is Phase.AP
+        bumps = 0
+        while events and events[0][0] <= upto:
+            time, _, kind, epoch = heapq.heappop(events)
+            if epoch != self.epoch[nid]:
+                continue
+            t = _tick_at_or_after(time, tick) * tick
+            if kind == "phase":
+                if self._timer_step(nid, state, (), t, push):
+                    self._take_ap_role(nid, state, (), t, push)
+                    bumps += 1
+            elif self._apcheck_step(nid, state, t, push):
+                self._leave_ap_role(nid, state, t, push)
+                bumps += 1
+        if not bumps:
+            return
+        cell = self.node_cell[nid]
+        self.cellver[cell] = self.cellver.get(cell, 0) + bumps - 1
+        self._bump_cell(cell)
+        is_ap = state.phase is Phase.AP
+        if is_ap and not was_ap:
+            self.ap_grid.setdefault(cell, {})[nid] = None
+            for plane in self.planes:
+                plane.ap_active[nid] = {}
+        elif was_ap and not is_ap:
+            _grid_remove(self.ap_grid, nid, cell)
+            for plane in self.planes:
+                plane.ap_active.pop(nid, None)
+
+    def _wake(self, nid: int, last: int) -> None:
+        """nid stops being dormant after tick `last`: its events up to that
+        tick are handled, and the rest go to the world's heap."""
+        self._catch_up(nid, last)
+        record = self.dormant.pop(nid)
+        epoch = self.epoch[nid]
+        for time, _, kind, pushed_in in sorted(record.events):
+            if pushed_in == epoch:
+                self._push_radio(time, nid, kind)
+        for cell in _ring(*self.node_cell[nid]):
+            _grid_remove(self.dormant_on, nid, cell)
 
     def _finish_connect(self, nid: int, t: float) -> None:
         state = self.radio[nid]

@@ -113,7 +113,10 @@ def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions and
     radio phases; every CLIENT either has one live event, a rescan or its
     result, or sleeps with a current token on all nine cells of its ring;
-    no other node has a rescan event or a current token."""
+    no other node has a rescan event or a current token. A dormant node has
+    no other node in its ring, no live radio event and no link on any
+    plane, and is registered on exactly the nine cells of its ring; every
+    other node that does not sleep has a live radio event."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
@@ -140,6 +143,14 @@ def recount_world(sim, t):
         else:
             assert not asleep
             assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
+            assert (nid in live) != (nid in sim.dormant)
+    for nid in sim.dormant:
+        ring = _ring(*cells[nid])
+        assert all(grid.get(cell, {nid}) == {nid} for cell in ring)
+        assert not any(plane.links[nid] for plane in sim.planes)
+        assert {c for c, b in sim.dormant_on.items() if nid in b} == set(ring)
+    assert all(b and set(b) <= set(sim.dormant)
+               for b in sim.dormant_on.values())
 
 
 class TestScriptedTwoNode:
@@ -422,8 +433,8 @@ class TestEngineInvariants:
             assert plane.report.evicted_copies > 0
 
     def test_world_structures_match_a_recount(self):
-        # grids, cells and rescan sleepers against a recount every 2 s
-        # through the night and the 08:00 commute on the city map
+        # grids, cells, rescan sleepers and dormant nodes against a recount
+        # every 2 s through the night and the 08:00 commute on the city map
         cfg = load_scenario("scenario4", router="hrson", nodes=80,
                             duration=36000.0)
         seen = []
@@ -433,16 +444,24 @@ class TestEngineInvariants:
                        if st.phase is Phase.CLIENT]
             asleep = sum(1 for n in clients if sim.asleep[n] is not None
                          and sim.asleep[n][1] == sim.epoch[n])
-            seen.append((asleep, len(clients) - asleep, len(sim.moving)))
+            dormant_aps = sum(1 for n in sim.dormant
+                              if sim.radio[n].phase is Phase.AP)
+            seen.append((asleep, len(clients) - asleep, len(sim.moving),
+                         len(sim.dormant), dormant_aps))
 
         sim = Simulation(cfg, seed=3, auditors=[recount_world, count],
                          audit_interval=2.0)
         sim.run()
         assert len(seen) == 17999
         # clients slept and woke, and nodes moved while others slept
-        assert max(a for a, _, _ in seen) > 0
-        assert max(w for _, w, _ in seen) > 0
-        assert any(a and m for a, _, m in seen)
+        assert max(a for a, _, _, _, _ in seen) > 0
+        assert max(w for _, w, _, _, _ in seen) > 0
+        assert any(a and m for a, _, m, _, _ in seen)
+        # nodes went dormant, and the auditors saw some of them in the AP
+        # role, while others moved
+        assert any(d and m for _, _, m, d, _ in seen)
+        assert max(aps for _, _, _, _, aps in seen) > 0
+        assert not sim.dormant            # the end of the run wakes them
 
     def test_desk_day_completes_quickly(self):
         import time
@@ -510,6 +529,184 @@ class TestClientRescan:
                             overrides=overrides, **kw)
         assert Simulation(cfg, seed).run() == PollingSimulation(cfg,
                                                                 seed).run()
+
+
+class CountingSimulation(Simulation):
+    """The world, counting the APs that go dormant and the AP roles taken
+    on the world's heap."""
+
+    def __init__(self, *args, **kwargs):
+        self.dormancies = 0
+        self.ap_created = 0
+        super().__init__(*args, **kwargs)
+
+    def _may_go_dormant(self, nid):
+        dormant = super()._may_go_dormant(nid)
+        self.dormancies += dormant
+        return dormant
+
+    def _ap_created(self, nid, t):
+        self.ap_created += 1
+        super()._ap_created(nid, t)
+
+
+class AwakeSimulation(CountingSimulation):
+    """The world in which no node goes dormant: every AP cycle runs event
+    by event on the world's heap."""
+
+    def _may_go_dormant(self, nid):
+        return False
+
+
+def world_state(sim):
+    """The world's state, comparable across runs that push different
+    numbers of radio events: the live radio events, on the world's heap
+    or a dormant node's list, without their seq numbers, and only current
+    sleep tokens."""
+    def current(nid, token):
+        return (token is not None and token[1] == sim.epoch[nid]
+                and sim.asleep[nid] == token)
+
+    events = [(time, nid, kind, epoch)
+              for time, nid, _, kind, epoch in sim.radio_events]
+    for nid, record in sim.dormant.items():
+        events += [(time, nid, kind, epoch)
+                   for time, _, kind, epoch in record.events]
+    watchers = {cell: {n: tok for n, tok in b.items() if current(n, tok)}
+                for cell, b in sim.watchers.items()}
+    return {
+        "radio": [(st.phase, st.timer_expiry, st.channel, st.attached_ap,
+                   list(st.clients), st.ap_since, st.last_client_change,
+                   st.connect_target) for st in sim.radio],
+        "epoch": list(sim.epoch),
+        "events": sorted(e for e in events if e[3] == sim.epoch[e[1]]),
+        "mobility": sorted(sim.mobility_events),
+        "moving": sorted(sim.moving),
+        "pos": list(sim.pos),
+        "node_cell": list(sim.node_cell),
+        "grid": {c: list(b) for c, b in sim.grid.items()},
+        "ap_grid": {c: list(b) for c, b in sim.ap_grid.items()},
+        "ap_near": [sorted(near) for near in sim.ap_near],
+        "cellver": dict(sim.cellver),
+        "client_scan_key": dict(sim.client_scan_key),
+        "asleep": [tok if current(n, tok) else None
+                   for n, tok in enumerate(sim.asleep)],
+        "watchers": {c: b for c, b in watchers.items() if b},
+        "planes": [(sorted(p.ap_active),
+                    sorted({(link.ap, link.client) for ends in p.links
+                            for link in ends.values()}))
+                   for p in sim.planes],
+    }
+
+
+def fixed_gate_world(cls):
+    """Static nodes with fixed AP gates under epidemic, the coin router,
+    and scripted moves that enter dormant rings, move dormant nodes and
+    leave them alone again."""
+    cfg = scripted_config(duration=10800.0, window=(0.0, 10800.0),
+                          interval=(30.0, 60.0))
+    cfg = dataclasses.replace(cfg, radio=RadioConfig())
+    positions = [(10.0, 10.0), (110.0, 10.0), (210.0, 10.0), (215.0, 10.0),
+                 (310.0, 10.0), (10.0, 110.0), (50.0, 10.0), (150.0, 150.0)]
+    gate = {0: True, 1: True, 2: True, 3: False, 4: False, 5: True,
+            6: True, 7: False}
+    moves = [
+        (600.0, 7, (112.0, 12.0)),      # into node 1's cell, in range
+        (1500.0, 7, (150.0, 150.0)),    # and away: node 1 is alone again
+        (2000.4, 0, (12.0, 13.0)),      # a dormant node moves in its cell
+        (2600.0, 7, (25.0, 5.0)),       # into the rings of nodes 0 and 6
+        (2700.0, 7, (150.0, 150.0)),
+        (3300.0, 5, (30.0, 150.0)),     # a dormant node changes cell
+        (4000.0, 3, (210.0, 50.0)),     # out of node 2's ring
+        (5000.0, 7, (70.0, 30.0)),      # out of range, in node 6's ring
+        (5400.0, 7, (150.0, 150.0)),
+        (7000.0, 3, (215.0, 10.0)),     # back to node 2
+    ]
+    return cls(cfg, 5, static_positions=positions, ap_gate=gate,
+               scripted_moves=moves)
+
+
+def preset_world(cls, preset, router, seed, duration, overrides):
+    kw = {"nodes": 80} if preset == "scenario4" else {}
+    cfg = load_scenario(preset, router=router, duration=duration,
+                        overrides=overrides, **kw)
+    return cls(cfg, seed)
+
+
+class TestDormantAps:
+    """Dormant APs give the reports and the world of APs that never sleep."""
+
+    @pytest.mark.parametrize("world,args", [
+        # the client rescan cases above
+        (preset_world, ("desk", "hrson", 48, 50000.0,
+                        ["radio.client_rescan=13.3", "radio.connect_time=0",
+                         "radio.ap_time=0"])),
+        (preset_world, ("desk", "hrson", 53, 36000.0,
+                        ["engine.tick=0.25", "radio.client_rescan=29"])),
+        (preset_world, ("desk", "snw", 34, 50000.0,
+                        ["radio.client_rescan=0.9", "radio.range=30"])),
+        (preset_world, ("scenario4", "epidemic", 3, 36000.0,
+                        ["engine.tick=0.3", "radio.client_rescan=7.5"])),
+        # a tick off the 1 s grid; zero AP and connect times, which push
+        # events for the current tick; an idle timeout off the tick grid
+        (preset_world, ("scenario4", "hrson", 3, 36000.0,
+                        ["engine.tick=0.3"])),
+        (preset_world, ("scenario4", "hrson", 8, 36000.0,
+                        ["radio.ap_time=0", "radio.connect_time=0"])),
+        (preset_world, ("desk", "hrson", 5, 50000.0,
+                        ["radio.ap_idle_timeout=37.7"])),
+        (fixed_gate_world, ()),
+        # nodes alone at home cycle in step from their staggered start;
+        # with a 55 s idle timeout some end a scan on the 08:00 tick at
+        # which they leave home, and that scan must find the gate closed
+        (preset_world, ("scenario4", "hrson", 1, 29000.0,
+                        ["radio.ap_idle_timeout=55"])),
+    ])
+    def test_reports_and_world_equal_awake_aps(self, world, args):
+        sim = world(CountingSimulation, *args)
+        awake = world(AwakeSimulation, *args)
+        assert sim.run() == awake.run()
+        assert world_state(sim) == world_state(awake)
+        # only a gate that answers without a draw lets a node go dormant,
+        # and a dormant node's AP cycles leave the world's heap
+        drawless = sim.home_gate or bool(sim.ap_gate)
+        assert (sim.dormancies > 0) == drawless
+        assert (sim.ap_created < awake.ap_created) == drawless
+
+
+    def test_wake_on_the_tick_of_a_due_event(self):
+        # nodes 0 and 3 sit alone and go dormant; each ends a scan at
+        # 71 + 66k s. AP 1 arrives by script next to node 0 at 137 s, and
+        # node 3 moves by script next to AP 1 at 269 s: each scan must see
+        # AP 1, so each wake catches up only to the tick before
+        def world(cls, auditors):
+            return cls(scripted_config(duration=600.0), 1,
+                       static_positions=[(10.0, 10.0), (200.0, 10.0),
+                                         (205.0, 10.0), (10.0, 300.0)],
+                       ap_gate={0: True, 1: True, 2: False, 3: True},
+                       scripted_moves=[(137.0, 1, (12.0, 12.0)),
+                                       (269.0, 3, (15.0, 12.0))],
+                       auditors=auditors, audit_interval=1.0)
+
+        states = {}
+        seen = {}
+
+        def record(tag):
+            def aud(sim, t):
+                states.setdefault(tag, []).append(world_state(sim))
+                if tag == "dormant" and t in (136.0, 137.0, 268.0, 269.0):
+                    seen[t] = (sorted(sim.dormant),
+                               [(st.phase, st.connect_target)
+                                for st in sim.radio])
+            return aud
+
+        sim = world(Simulation, [record("dormant")])
+        awake = world(AwakeSimulation, [record("awake")])
+        assert sim.run() == awake.run()
+        assert states["dormant"] == states["awake"]
+        assert seen[136.0][0] == [0, 3] and seen[268.0][0] == [3]
+        assert seen[137.0][1][0] == (Phase.CONNECTING, 1)
+        assert seen[269.0][1][3] == (Phase.CONNECTING, 1)
 
 
 class SpyPolicy(EpidemicPolicy):
