@@ -305,23 +305,6 @@ def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
         del grid[cell]
 
 
-class _Dormant:
-    """A dormant node's own radio events, kept off the world's heap: a heap
-    of (time, seq, kind, epoch), pushed as `Simulation._push_radio` would
-    push them."""
-
-    __slots__ = ("events", "epoch", "seq")
-
-    def __init__(self, epoch: List[int]):
-        self.events: List[Tuple[float, int, str, int]] = []
-        self.epoch = epoch              # the world's epoch list
-        self.seq = 0
-
-    def push(self, time: float, nid: int, kind: str) -> None:
-        self.seq += 1
-        heapq.heappush(self.events, (time, self.seq, kind, self.epoch[nid]))
-
-
 def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
                       nid: int) -> int:
     """APs within range of AP nid sharing its channel, incl. itself."""
@@ -399,9 +382,9 @@ class Simulation:
         self.watchers: Dict[Tuple[int, int], Dict[int, Tuple[float, int]]] = {}
         self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
         # a retired AP alone in its ring goes dormant (see _catch_up):
-        # dormant[nid] holds its events, dormant_on[cell] the dormant nodes
-        # whose ring holds the cell
-        self.dormant: Dict[int, _Dormant] = {}
+        # dormant[nid] is the heap of its radio events, dormant_on[cell] the
+        # dormant nodes whose ring holds the cell
+        self.dormant: Dict[int, List[Tuple[float, int, int, str, int]]] = {}
         self.dormant_on: Dict[Tuple[int, int], Dict[int, None]] = {}
 
         self._init_positions()
@@ -473,8 +456,10 @@ class Simulation:
     # -- small helpers ----------------------------------------------------------
 
     def _push_radio(self, time: float, nid: int, kind: str) -> None:
+        """A radio event of nid, on the world's heap or, while nid is
+        dormant, on its own."""
         self._radio_seq += 1
-        heapq.heappush(self.radio_events,
+        heapq.heappush(self.dormant.get(nid, self.radio_events),
                        (time, nid, self._radio_seq, kind, self.epoch[nid]))
 
     def _bump_cell(self, cell: Tuple[int, int]) -> None:
@@ -739,19 +724,30 @@ class Simulation:
         visible = (self._visible_aps(nid)
                    if state.phase in (Phase.SCANNING, Phase.BECOMING_AP)
                    else [])
-        if self._timer_step(nid, state, visible, t, self._push_radio):
+        if self._timer_step(nid, state, visible, t):
             self._ap_created(nid, t)
 
     def _ap_created(self, nid: int, t: float) -> None:
-        near = self._neighbors(nid, self.ap_grid)
-        self._take_ap_role(nid, self.radio[nid], near, t, self._push_radio)
+        """nid takes the AP role and joins the world's APs. No AP is in
+        range of it: `step_radio` makes a node an AP only when the
+        `_visible_aps` that `_phase_event` has just called found none, so
+        its `ap_near` stays empty and no other AP's rate changes."""
+        self._take_ap_role(nid, self.radio[nid], t)
+        self._add_ap(nid)
+        self._bump_cell(self.node_cell[nid])
+
+    def _add_ap(self, nid: int) -> None:
+        """nid enters the world's APs: `ap_grid` and every plane's
+        `ap_active`."""
+        self.ap_grid.setdefault(self.node_cell[nid], {})[nid] = None
         for plane in self.planes:
             plane.ap_active[nid] = {}
-        cell = self.node_cell[nid]
-        self.ap_grid.setdefault(cell, {})[nid] = None
-        self._set_ap_near(nid, near)
-        self._bump_cell(cell)
-        self._resettle_neighborhood(nid, near, t)
+
+    def _remove_ap(self, nid: int) -> None:
+        """nid leaves the world's APs, undoing `_add_ap`."""
+        _grid_remove(self.ap_grid, nid, self.node_cell[nid])
+        for plane in self.planes:
+            plane.ap_active.pop(nid, None)
 
     def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
         """Re-derive rates of the APs in `near`, those in range of a changed
@@ -774,37 +770,33 @@ class Simulation:
                 plane._settle_ap(other, t)
 
     def _apcheck_event(self, nid: int, t: float) -> None:
-        if self._apcheck_step(nid, self.radio[nid], t, self._push_radio):
+        if self._apcheck_step(nid, self.radio[nid], t):
             self._retire_ap(nid, t)
 
     def _retire_ap(self, nid: int, t: float) -> None:
         state = self.radio[nid]
         for client in sorted(state.clients):
             self._detach_client(client, t, rescan=True, ap_alive=False)
-        for plane in self.planes:
-            plane.ap_active.pop(nid, None)
+        self._remove_ap(nid)
         cell = self.node_cell[nid]
-        push = self._push_radio
         if self._may_go_dormant(nid):
-            record = self.dormant[nid] = _Dormant(self.epoch)
+            self.dormant[nid] = []
             for ring_cell in _ring(*cell):
                 self.dormant_on.setdefault(ring_cell, {})[nid] = None
-            push = record.push
-        self._leave_ap_role(nid, state, t, push)
-        _grid_remove(self.ap_grid, nid, cell)
+        self._leave_ap_role(nid, state, t)
         near = self.ap_near[nid]
         self._set_ap_near(nid, ())
         self._bump_cell(cell)
         self._resettle_neighborhood(nid, near, t)
 
     # -- the AP cycle ---------------------------------------------------------
-    # A node's own steps through scan, AP role and retirement. The live
-    # handlers call them with `_push_radio` and update the world around
-    # them; a dormant node's replay calls them with its own event list and
-    # updates the world once, when it is done.
+    # A node's own steps through scan, AP role and retirement. Their events
+    # go through `_push_radio`, so a dormant node's stay on its own heap.
+    # The live handlers update the world around each step; a dormant node's
+    # replay updates it once, when it is done.
 
-    def _timer_step(self, nid: int, state: RadioState, visible, t: float,
-                    push: Callable) -> bool:
+    def _timer_step(self, nid: int, state: RadioState, visible,
+                    t: float) -> bool:
         """A scanning, resting or becoming-AP node whose timer ran out takes
         its next phase, asking the AP gate after a scan that found no AP.
         True if it took the AP role; else its next phase event is pushed."""
@@ -813,22 +805,19 @@ class Simulation:
         step_radio(state, permits, visible, t, self.timing)
         if state.phase is Phase.AP:
             return True
-        push(state.timer_expiry, nid, "phase")
+        self._push_radio(state.timer_expiry, nid, "phase")
         return False
 
-    def _take_ap_role(self, nid: int, state: RadioState, near, t: float,
-                      push: Callable) -> None:
-        """A new AP takes the least-loaded channel among the APs `near` it
-        and checks for retirement at its longest term and its first idle
-        deadline."""
-        state.channel = assign_channel([self.radio[o].channel for o in near],
-                                       self.link_model.num_channels)
+    def _take_ap_role(self, nid: int, state: RadioState, t: float) -> None:
+        """A new AP takes the least-loaded channel among the APs in range of
+        it, of which there are none (see `_ap_created`), and checks for
+        retirement at its longest term and its first idle deadline."""
+        state.channel = assign_channel((), self.link_model.num_channels)
         state.clients = {}
-        push(t + self.config.radio.ap_max_duration, nid, "apcheck")
-        push(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
+        self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
+        self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
 
-    def _apcheck_step(self, nid: int, state: RadioState, t: float,
-                      push: Callable) -> bool:
+    def _apcheck_step(self, nid: int, state: RadioState, t: float) -> bool:
         """True if the AP is due to retire; else an AP without clients
         checks again at its idle deadline."""
         if state.phase is not Phase.AP:
@@ -839,15 +828,18 @@ class Simulation:
             return True
         if not state.clients:
             nxt = state.last_client_change + radio.ap_idle_timeout
-            push(max(nxt, t + 1e-9), nid, "apcheck")
+            self._push_radio(max(nxt, t + 1e-9), nid, "apcheck")
         return False
 
-    def _leave_ap_role(self, nid: int, state: RadioState, t: float,
-                       push: Callable) -> None:
+    def _leave_ap_role(self, nid: int, state: RadioState, t: float) -> None:
         """A retiring AP voids its pending events and scans again."""
         self.epoch[nid] += 1
+        self._scan_again(nid, state, t)
+
+    def _scan_again(self, nid: int, state: RadioState, t: float) -> None:
+        """nid starts a new scan now."""
         state.reset_to_scan(t, self.timing)
-        push(state.timer_expiry, nid, "phase")
+        self._push_radio(state.timer_expiry, nid, "phase")
 
     # -- dormant nodes -----------------------------------------------------------
 
@@ -900,28 +892,27 @@ class Simulation:
           node's handler reads the mark, it already lies above every
           event nid would have handled.
         - `_radio_seq` breaks ties only between events of one node at one
-          time, and `_wake` returns nid's events to the heap in the order
-          nid pushed them.
+          time. nid's events draw it from the world's counter, as live
+          events do, and `_wake` returns them to the world's heap as they
+          are, so they keep the order in which nid pushed them.
         - The gate draws nothing, so `rng_policy` is drawn as before."""
-        record = self.dormant[nid]
-        events = record.events
-        push = record.push
+        events = self.dormant[nid]
         state = self.radio[nid]
         tick = self.config.tick
         upto = last * tick
         was_ap = state.phase is Phase.AP
         bumps = 0
         while events and events[0][0] <= upto:
-            time, _, kind, epoch = heapq.heappop(events)
+            time, _, _, kind, epoch = heapq.heappop(events)
             if epoch != self.epoch[nid]:
                 continue
             t = _tick_at_or_after(time, tick) * tick
             if kind == "phase":
-                if self._timer_step(nid, state, (), t, push):
-                    self._take_ap_role(nid, state, (), t, push)
+                if self._timer_step(nid, state, (), t):
+                    self._take_ap_role(nid, state, t)
                     bumps += 1
-            elif self._apcheck_step(nid, state, t, push):
-                self._leave_ap_role(nid, state, t, push)
+            elif self._apcheck_step(nid, state, t):
+                self._leave_ap_role(nid, state, t)
                 bumps += 1
         if not bumps:
             return
@@ -930,23 +921,18 @@ class Simulation:
         self._bump_cell(cell)
         is_ap = state.phase is Phase.AP
         if is_ap and not was_ap:
-            self.ap_grid.setdefault(cell, {})[nid] = None
-            for plane in self.planes:
-                plane.ap_active[nid] = {}
+            self._add_ap(nid)
         elif was_ap and not is_ap:
-            _grid_remove(self.ap_grid, nid, cell)
-            for plane in self.planes:
-                plane.ap_active.pop(nid, None)
+            self._remove_ap(nid)
 
     def _wake(self, nid: int, last: int) -> None:
         """nid stops being dormant after tick `last`: its events up to that
         tick are handled, and the rest go to the world's heap."""
         self._catch_up(nid, last)
-        record = self.dormant.pop(nid)
         epoch = self.epoch[nid]
-        for time, _, kind, pushed_in in sorted(record.events):
-            if pushed_in == epoch:
-                self._push_radio(time, nid, kind)
+        for event in self.dormant.pop(nid):
+            if event[4] == epoch:
+                heapq.heappush(self.radio_events, event)
         for cell in _ring(*self.node_cell[nid]):
             _grid_remove(self.dormant_on, nid, cell)
 
@@ -962,8 +948,7 @@ class Simulation:
             x, y = self.pos[nid]
             ok = (tx - x) ** 2 + (ty - y) ** 2 <= r2
         if not ok:
-            state.reset_to_scan(t, self.timing)
-            self._push_radio(state.timer_expiry, nid, "phase")
+            self._scan_again(nid, state, t)
             return
         state.phase = Phase.CLIENT
         state.attached_ap = target
@@ -996,8 +981,7 @@ class Simulation:
                                  ap, "apcheck")
         self.epoch[nid] += 1
         if rescan:
-            state.reset_to_scan(t, self.timing)
-            self._push_radio(state.timer_expiry, nid, "phase")
+            self._scan_again(nid, state, t)
 
     def _client_rescan(self, nid: int, t: float) -> None:
         """A CLIENT's background look for a faster AP, `client_rescan`

@@ -561,17 +561,15 @@ class AwakeSimulation(CountingSimulation):
 def world_state(sim):
     """The world's state, comparable across runs that push different
     numbers of radio events: the live radio events, on the world's heap
-    or a dormant node's list, without their seq numbers, and only current
+    or a dormant node's own, without their seq numbers, and only current
     sleep tokens."""
     def current(nid, token):
         return (token is not None and token[1] == sim.epoch[nid]
                 and sim.asleep[nid] == token)
 
     events = [(time, nid, kind, epoch)
-              for time, nid, _, kind, epoch in sim.radio_events]
-    for nid, record in sim.dormant.items():
-        events += [(time, nid, kind, epoch)
-                   for time, _, kind, epoch in record.events]
+              for heap in (sim.radio_events, *sim.dormant.values())
+              for time, nid, _, kind, epoch in heap]
     watchers = {cell: {n: tok for n, tok in b.items() if current(n, tok)}
                 for cell, b in sim.watchers.items()}
     return {
