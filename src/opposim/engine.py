@@ -526,16 +526,19 @@ class Simulation:
             return self.model.at_home(nid)
         return self.rng_policy.random() < self.config.radio.p_ap
 
-    def _set_ap_near(self, nid: int, near) -> None:
-        """Record `near` as the APs in range of AP nid, on both sides."""
+    def _set_ap_near(self, nid: int, near) -> Set[int]:
+        """Record `near` as the APs in range of AP nid, on both sides;
+        returns the APs that left its range."""
         ap_near = self.ap_near
         old = ap_near[nid]
         new = set(near)
-        for other in old - new:
+        left = old - new
+        for other in left:
             ap_near[other].discard(nid)
         for other in new - old:
             ap_near[other].add(nid)
         ap_near[nid] = new
+        return left
 
     def _visible_aps(self, nid: int) -> List[VisibleAp]:
         out = []
@@ -668,14 +671,19 @@ class Simulation:
         if new_cell != old_cell:
             self._bump_cell(new_cell)
         if is_ap:
-            self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
+            left = self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
         self._check_links_of(nid, t)
         if is_ap:
-            # a moving AP drags co-channel interference along with it
+            # a moving AP drags co-channel interference along with it: to
+            # the APs now in range, and away from those it left
             for plane in self.planes:
                 if plane.ap_active.get(nid):
                     plane._settle_ap(nid, t)
             self._resettle_neighborhood(nid, self.ap_near[nid], t)
+            for plane in self.planes:
+                for other in sorted(left):
+                    if plane.ap_active.get(other):
+                        plane._settle_ap(other, t)
 
     def _check_links_of(self, nid: int, t: float) -> None:
         """Immediate link teardown on range exit, both roles."""
@@ -784,8 +792,7 @@ class Simulation:
             for ring_cell in _ring(*cell):
                 self.dormant_on.setdefault(ring_cell, {})[nid] = None
         self._leave_ap_role(nid, state, t)
-        near = self.ap_near[nid]
-        self._set_ap_near(nid, ())
+        near = self._set_ap_near(nid, ())
         self._bump_cell(cell)
         self._resettle_neighborhood(nid, near, t)
 

@@ -11,7 +11,7 @@ from opposim.engine import (
 )
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
-from opposim.radio import Phase, TimingParams
+from opposim.radio import Phase, TimingParams, effective_bandwidth
 from opposim.routing import EpidemicPolicy, buffer_admit
 from opposim.scenario import load_scenario
 from opposim.traffic import Message, TrafficConfig
@@ -81,8 +81,9 @@ class TestConfigValidation:
 
 def recount_planes(sim, t):
     """Auditor: each plane's in_flight_to, ap_active, holders, pins and
-    Buffer.used recomputed from its links and buffers, and its links
-    from the world's associations."""
+    Buffer.used recomputed from its links and buffers, its links from the
+    world's associations, and every send's rate from its AP's co-channel
+    count and sends."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
@@ -99,6 +100,10 @@ def recount_planes(sim, t):
         assert set(plane.ap_active) == aps
         for ap, active in plane.ap_active.items():
             assert set(active) == {tr for tr in sends if tr.link.ap == ap}
+            rate = effective_bandwidth(
+                sim.link_model, _co_channel_count(sim.radio, sim.ap_near, ap),
+                len(active))
+            assert all(tr.rate == rate for tr in active), (t, ap)
         pinned = {(tr.src, tr.msg.msg_id) for tr in sends}
         held = {}
         for nid, buf in enumerate(plane.buffers):
@@ -232,6 +237,25 @@ class TestDisruptionScripts:
         drop = min(t for t, ok in connected if t > 20 and not ok)
         up_again = min(t for t, ok in connected if t > drop and ok)
         assert up_again - drop == pytest.approx(16.0, abs=1.0)
+
+    def test_ap_moving_away_restores_its_neighbours_rate(self):
+        # AP 2 passes by AP 0, which sends 50 MB to its client 1 from
+        # 16 s: 20 MB go by 20 s at 5 MB/s, 5 MB by 22 s at the shared
+        # 2.5 MB/s, and once AP 2 has left the other 25 MB at 5 MB/s again
+        cfg = scripted_config(duration=120.0)
+        cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(
+            cfg.traffic, size_range=(50 * MB, 50 * MB)))
+        sim = Simulation(
+            cfg, seed=3,
+            static_positions=[(0.0, 0.0), (5.0, 0.0), (200.0, 0.0)],
+            ap_gate={0: True, 1: False, 2: True},
+            scripted_moves=[(20.0, 2, (0.0, 15.0)), (22.0, 2, (200.0, 0.0))],
+            auditors=[recount_planes], audit_interval=1.0)
+        sim.run()
+        (msg,) = sim.planes[0].messages.values()
+        assert (msg.source, msg.destination) == (0, 1)
+        assert sim.planes[0].collector.delivered_at == {
+            msg.msg_id: pytest.approx(27.0, abs=1e-9)}
 
 
 class TestDeskRuns:
