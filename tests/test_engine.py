@@ -83,7 +83,9 @@ def recount_planes(sim, t):
     """Auditor: each plane's in_flight_to, ap_active, holders, pins and
     Buffer.used recomputed from its links and buffers, its links from the
     world's associations, and every send's rate from its AP's co-channel
-    count and sends."""
+    count and sends. A link whose summary_key is current lacks no offer: a
+    fresh summary exchange plans nothing that is not queued on it, pinned
+    at its sender, in flight to its receiver or expired."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
@@ -97,6 +99,17 @@ def recount_planes(sim, t):
             assert plane.links[link.client][link.ap] is link
         sends = [link.active for link in links if link.active is not None]
         assert plane.in_flight_to == {(tr.dst, tr.msg.msg_id) for tr in sends}
+        for link in links:
+            if link.summary_key != plane._summary_key(link):
+                continue
+            for src, dst in ((link.ap, link.client), (link.client, link.ap)):
+                for plan in plane.policy.select_transfers(
+                        plane.buffers[src], plane._summary_of(dst)):
+                    mid = plan.msg_id
+                    entry = plane.buffers[src].get(mid)
+                    assert ((src, mid) in link.queued or entry.pinned
+                            or (dst, mid) in plane.in_flight_to
+                            or entry.message.expired(t)), (t, src, dst, mid)
         assert set(plane.ap_active) == aps
         for ap, active in plane.ap_active.items():
             assert set(active) == {tr for tr in sends if tr.link.ap == ap}
@@ -117,8 +130,8 @@ def recount_planes(sim, t):
 def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions and
     radio phases; every CLIENT either has one live event, a rescan or its
-    result, or sleeps with a current token on all nine cells of its ring;
-    no other node has a rescan event or a current token. A dormant node has
+    result, or sleeps with a current token on all nine cells of its ring
+    and the scan key of its ring's cell versions and AP now; no other node has a rescan event or a current token. A dormant node has
     no other node in its ring, no live radio event and no link on any
     plane, and is registered on exactly the nine cells of its ring; every
     other node that does not sleep has a live radio event."""
@@ -141,8 +154,11 @@ def recount_world(sim, t):
         asleep = token is not None and token[1] == sim.epoch[nid]
         if state.phase is Phase.CLIENT and asleep:
             assert nid not in live
-            for cell in _ring(*cells[nid]):
+            ring = _ring(*cells[nid])
+            for cell in ring:
                 assert sim.watchers[cell][nid] == token
+            assert sim.client_scan_key[nid] == (
+                *map(sim.cellver.get, ring), state.attached_ap), (t, nid)
         elif state.phase is Phase.CLIENT:
             assert live.get(nid) in (["rescan"], ["rescan_result"])
         else:
@@ -441,6 +457,17 @@ class TestEngineInvariants:
             rep = plane.report
             assert min(rep.ttl_dropped, rep.aborted) > 0
             assert (rep.evicted_copies > 0) == (buffer_capacity < 100 * MB)
+
+    def test_a_refused_offer_comes_back(self):
+        # 0.7 MB buffers hold one or two copies, so copies pinned by their
+        # sends make some admissions fail; a link whose summary key has
+        # not moved since a refusal would never offer the copy again
+        cfg = desk_config(interval=(20.0, 40.0), duration=36000.0,
+                          buffer_capacity=700_000, ttl=3000.0)
+        sim = Simulation(cfg, seed=21, auditors=[recount_planes],
+                         audit_interval=2.0)
+        sim.run()
+        assert sum(sim.planes[0].refused) > 0
 
     def test_token_audit_counts_tokens_lost_to_eviction(self):
         # 4 MB buffers evict live spray copies, and an evicted copy takes
