@@ -196,6 +196,12 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
         np.random.SeedSequence([int(seed), RNG_STREAMS[name]])))
 
 
+def _shares_world(config: ScenarioConfig, other: ScenarioConfig) -> bool:
+    """Whether two configs can run as routing planes of one world: they
+    differ in `traffic` only."""
+    return dataclasses.replace(config, traffic=other.traffic) == other
+
+
 # ---------------------------------------------------------------------------
 # Static placement (scripted scenarios and unit probes)
 # ---------------------------------------------------------------------------
@@ -401,7 +407,7 @@ class Simulation:
         if self.clock > 0.0:
             raise ConfigError("a routing plane joins a world that has not "
                               "started running")
-        if dataclasses.replace(config, traffic=self.config.traffic) != self.config:
+        if not _shares_world(config, self.config):
             raise ConfigError("a routing plane shares its world's every "
                               "setting but traffic")
         plane = Plane(config, self.seed, self.n_nodes, self.radio,
@@ -1580,8 +1586,7 @@ def sweep(config: ScenarioConfig, parameter: str, values: Sequence,
     groups: List[List[int]] = []      # indices of values sharing a world
     for i, cfg in enumerate(derived):
         for group in groups:
-            head = derived[group[0]]
-            if dataclasses.replace(cfg, traffic=head.traffic) == head:
+            if _shares_world(cfg, derived[group[0]]):
                 group.append(i)
                 break
         else:
