@@ -19,10 +19,11 @@ map) skip ahead instead of burning ticks.
 A phone alone at home under hrson would loop all night through scan, AP
 role, an idle minute and retirement. An AP that retires alone in the
 cells around it, standing still, under a gate that draws nothing goes
-dormant: its radio events leave the world's heap. When a node enters
-those cells, its own mobility wake comes due, the auditors run or the
-run ends, its events are handled at the ticks the live loop would have
-handled them, with the live handlers' steps (`Simulation._catch_up`).
+dormant: it keeps its radio events on a heap of its own, off the world's.
+When a node enters those cells, its own mobility wake comes due, the
+auditors run or the run ends, its events are handled at the ticks the
+live loop would have handled them, with the live handlers' steps
+(`Simulation._catch_up`).
 
 Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
