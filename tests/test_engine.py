@@ -131,10 +131,11 @@ def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions and
     radio phases; every CLIENT either has one live event, a rescan or its
     result, or sleeps with a current token on all nine cells of its ring
-    and the scan key of its ring's cell versions and AP now; no other node has a rescan event or a current token. A dormant node has
-    no other node in its ring, no live radio event and no link on any
-    plane, and is registered on exactly the nine cells of its ring; every
-    other node that does not sleep has a live radio event."""
+    and the scan key of its ring's cell versions and AP now; no other
+    node has a rescan event or a current token. A dormant node has no
+    other node in its ring, no live radio event and no link on any plane,
+    and is registered on exactly the nine cells of its ring; every other
+    node that does not sleep has a live radio event."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
