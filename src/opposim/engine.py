@@ -22,7 +22,8 @@ cells around it, standing still, under a gate that draws nothing goes
 dormant: it keeps its radio events on a heap of its own, off the world's.
 When a node enters those cells, its own mobility wake comes due, the
 auditors run or the run ends, its events are handled at the ticks the
-live loop would have handled them, with the live handlers' steps
+live loop would have handled them, with the live handlers' steps; once
+its state repeats, the whole cycles left are jumped in one step
 (`Simulation._catch_up`).
 
 Reproducibility: a run is a pure function of (config, seed). The master
@@ -57,6 +58,7 @@ from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
                "policy": 5}
+_LINKED = (Phase.AP, Phase.CLIENT)     # the phases that hold links
 
 
 class ConfigError(ValueError):
@@ -393,6 +395,14 @@ class Simulation:
         # dormant nodes whose ring holds the cell
         self.dormant: Dict[int, List[Tuple[float, int, int, str, int]]] = {}
         self.dormant_on: Dict[Tuple[int, int], Dict[int, None]] = {}
+        # the replay jumps repeated cycles only when every time it computes
+        # is a whole number of seconds, which float arithmetic keeps exact
+        lonely_cycle = (config.tick, self.timing.t_scan, self.timing.t_rest,
+                        self.timing.t_ap, config.radio.ap_idle_timeout,
+                        config.radio.ap_max_duration)
+        self._replay_jumps = (
+            all(float(v).is_integer() for v in lonely_cycle)
+            and config.duration + sum(lonely_cycle) < 2 ** 53)
 
         self._init_positions()
         self._init_radio()
@@ -646,8 +656,29 @@ class Simulation:
             else:
                 self.moving.discard(nid)
             self._apply_move(nid, model.position(nid, t), t)
+        if not self.moving:
+            return
+        # A node with no link (neither AP nor CLIENT) that moves inside its
+        # cell, outside every dormant ring, only moves and bumps its cell:
+        # `_apply_move` has no link of it to check, no AP neighbours to
+        # settle and no dormant node to wake.
+        pos = self.pos
+        node_cell = self.node_cell
+        radio = self.radio
+        size = self.cell_size
+        dormant_on = self.dormant_on
         for nid in list(self.moving):
-            self._apply_move(nid, model.position(nid, t), t)
+            newpos = model.position(nid, t)
+            cell = node_cell[nid]
+            if (radio[nid].phase not in _LINKED
+                    and cell not in dormant_on
+                    and int(newpos[0] // size) == cell[0]
+                    and int(newpos[1] // size) == cell[1]):
+                if newpos != pos[nid]:
+                    pos[nid] = newpos
+                    self._bump_cell(cell)
+            else:
+                self._apply_move(nid, newpos, t)
 
     def _apply_move(self, nid: int, newpos: Tuple[float, float],
                     t: float) -> None:
@@ -825,7 +856,11 @@ class Simulation:
     def _take_ap_role(self, nid: int, state: RadioState, t: float) -> None:
         """A new AP takes the least-loaded channel among the APs in range of
         it, of which there are none (see `_ap_created`), and checks for
-        retirement at its longest term and its first idle deadline."""
+        retirement at its longest term and its first idle deadline.
+
+        The call to `assign_channel` is kept, so the traced
+        `radio.assign_channel.calls` counts the AP roles stepped, live or
+        replayed; the roles a dormant replay jumps over are not stepped."""
         state.channel = assign_channel((), self.link_model.num_channels)
         state.clients = {}
         self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
@@ -909,18 +944,57 @@ class Simulation:
           time. nid's events draw it from the world's counter, as live
           events do, and `_wake` returns them to the world's heap as they
           are, so they keep the order in which nid pushed them.
-        - The gate draws nothing, so `rng_policy` is drawn as before."""
+        - The gate draws nothing, so `rng_policy` is drawn as before.
+
+        Once nid's state repeats, the replay jumps the whole periods left
+        before tick `last` in one step. After each handled event it keys
+        the state relative to the tick t: the event's kind, the phase,
+        `timer_expiry`, `ap_since` and `last_client_change` less t, the
+        channel, and the offset from t and kind of each live event on
+        nid's heap, in heap order. The jump is exact:
+
+        - A repeated key repeats until the wake. nid's steps read its
+          state, its live events, the tick and the gate's answer; the
+          rest of its state is empty (no clients, no AP, no target), and
+          the gate's answer cannot change while nid sleeps. So the steps
+          from two handled events with the same key, at ticks n0 < n, are
+          the same steps P = (n - n0) * tick apart, and so is every
+          period after them. m whole periods fit before tick `last`; the
+          jump shifts nid's times and live events by m * P and adds m
+          periods' worth of epochs and cell bumps.
+        - The arithmetic does not see the shift. The replay jumps only
+          when the tick and the scan, rest, AP, idle and longest-term
+          times are whole seconds (`_replay_jumps`). Every time the cycle
+          computes is then a visited tick, or one plus such settings, a
+          whole number below 2 ** 53: sums, differences and comparisons
+          are exact, `_tick_at_or_after` corrects its quotient with exact
+          products, and P is a whole number of ticks. The one other time,
+          `t + 1e-9` in `_apcheck_step`, never comes up: each role here
+          began in this replay with `last_client_change == ap_since`, has
+          no clients, and every live apcheck of it is due at its idle
+          deadline or its term, so it retires. A 0.3 s tick or a 37.7 s
+          idle timeout rounds differently at different times, and the
+          replay then stays event by event.
+        - Nothing can tell the jump apart. The stale events it drops are
+          skipped when popped and never leave nid's heap, and the live
+          ones go back in their old order. The numbers of `_radio_seq`
+          that the skipped pushes would have drawn only broke ties
+          between nid's own events, which the replay's numbers order
+          alike."""
         events = self.dormant[nid]
         state = self.radio[nid]
+        epochs = self.epoch
         tick = self.config.tick
         upto = last * tick
         was_ap = state.phase is Phase.AP
         bumps = 0
+        seen = {} if self._replay_jumps else None
         while events and events[0][0] <= upto:
             time, _, _, kind, epoch = heapq.heappop(events)
-            if epoch != self.epoch[nid]:
+            if epoch != epochs[nid]:
                 continue
-            t = _tick_at_or_after(time, tick) * tick
+            n = _tick_at_or_after(time, tick)
+            t = n * tick
             if kind == "phase":
                 if self._timer_step(nid, state, (), t):
                     self._take_ap_role(nid, state, t)
@@ -928,6 +1002,27 @@ class Simulation:
             elif self._apcheck_step(nid, state, t):
                 self._leave_ap_role(nid, state, t)
                 bumps += 1
+            if seen is None:
+                continue
+            epoch = epochs[nid]
+            live = sorted(e for e in events if e[4] == epoch)
+            key = (kind, state.phase, state.timer_expiry - t,
+                   state.ap_since - t, state.last_client_change - t,
+                   state.channel, tuple((e[0] - t, e[3]) for e in live))
+            n0, epoch0, bumps0 = seen.setdefault(key, (n, epoch, bumps))
+            if n0 == n:
+                continue
+            seen = None
+            periods = (last - n) // (n - n0)
+            shift = periods * (n - n0) * tick
+            state.timer_expiry += shift
+            state.ap_since += shift
+            state.last_client_change += shift
+            epochs[nid] += periods * (epoch - epoch0)
+            bumps += periods * (bumps - bumps0)
+            events.clear()
+            for time, _, _, kind, _ in live:
+                self._push_radio(time + shift, nid, kind)
         if not bumps:
             return
         cell = self.node_cell[nid]

@@ -584,12 +584,13 @@ class TestClientRescan:
 
 
 class CountingSimulation(Simulation):
-    """The world, counting the APs that go dormant and the AP roles taken
-    on the world's heap."""
+    """The world, counting the APs that go dormant, the AP roles taken on
+    the world's heap and the AP roles stepped, on either heap."""
 
     def __init__(self, *args, **kwargs):
         self.dormancies = 0
         self.ap_created = 0
+        self.roles = 0
         super().__init__(*args, **kwargs)
 
     def _may_go_dormant(self, nid):
@@ -600,6 +601,10 @@ class CountingSimulation(Simulation):
     def _ap_created(self, nid, t):
         self.ap_created += 1
         super()._ap_created(nid, t)
+
+    def _take_ap_role(self, nid, state, t):
+        self.roles += 1
+        super()._take_ap_role(nid, state, t)
 
 
 class AwakeSimulation(CountingSimulation):
@@ -711,6 +716,12 @@ class TestDormantAps:
         # which they leave home, and that scan must find the gate closed
         (preset_world, ("scenario4", "hrson", 1, 29000.0,
                         ["radio.ap_idle_timeout=55"])),
+        # other cycle shapes: an AP retired at its term before its idle
+        # deadline, and a scan that ends on the tick it starts
+        (preset_world, ("desk", "hrson", 9, 50000.0,
+                        ["radio.ap_max_duration=40"])),
+        (preset_world, ("scenario4", "hrson", 2, 36000.0,
+                        ["radio.scan_time=0", "radio.rest_time=3"])),
     ])
     def test_reports_and_world_equal_awake_aps(self, world, args):
         sim = world(CountingSimulation, *args)
@@ -722,7 +733,51 @@ class TestDormantAps:
         drawless = sim.home_gate or bool(sim.ap_gate)
         assert (sim.dormancies > 0) == drawless
         assert (sim.ap_created < awake.ap_created) == drawless
+        # the replay skips repeated cycles only when the tick and the
+        # cycle's times are whole seconds; else it steps every AP role the
+        # live loop does
+        cfg = sim.config
+        whole = all(float(v).is_integer() for v in (
+            cfg.tick, cfg.radio.timing.t_scan, cfg.radio.timing.t_rest,
+            cfg.radio.timing.t_ap, cfg.radio.ap_idle_timeout,
+            cfg.radio.ap_max_duration))
+        assert sim.roles <= awake.roles
+        assert (sim.roles < awake.roles) == (drawless and whole)
 
+    def test_a_lonely_node_jumps_its_repeated_cycles(self):
+        # nodes 0 and 1 sit alone for 10 h under a gate that lets them be
+        # APs, and take the AP role every 66 s: a 5 s scan, 1 s to become
+        # an AP and a 60 s idle wait. Node 2 is node 0's client until it
+        # moves away at 40 s, so node 0's first role has a shape of its own
+        def world(cls, auditors=()):
+            return cls(scripted_config(duration=36000.0), 1,
+                       static_positions=[(10.0, 10.0), (300.0, 300.0),
+                                         (15.0, 10.0)],
+                       ap_gate={0: True, 1: True, 2: False},
+                       scripted_moves=[(40.0, 2, (150.0, 150.0))],
+                       auditors=auditors, audit_interval=777.0)
+
+        sim, awake = world(CountingSimulation), world(AwakeSimulation)
+        assert sim.run() == awake.run()
+        assert world_state(sim) == world_state(awake)
+        assert awake.roles > 1000
+        assert sim.roles <= 8
+
+        # the auditors catch the dormant nodes up every 777 s, at every
+        # point of their cycle, each time across several periods
+        states = {}
+
+        def record(tag):
+            def aud(sim, t):
+                states.setdefault(tag, []).append(world_state(sim))
+            return aud
+
+        sim = world(CountingSimulation, [record("dormant")])
+        awake = world(AwakeSimulation, [record("awake")])
+        assert sim.run() == awake.run()
+        assert states["dormant"] == states["awake"]
+        assert len(states["awake"]) == 46
+        assert sim.roles < awake.roles / 5
 
     def test_wake_on_the_tick_of_a_due_event(self):
         # nodes 0 and 3 sit alone and go dormant; each ends a scan at

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,10 +167,11 @@ class TestCsv:
     def test_write_reports_round_trip(self, tmp_path):
         reps = self.reports()
         p1, p2 = write_reports(reps, str(tmp_path), prefix="x_")
-        a = open(p1, "rb").read()
+        a = Path(p1).read_bytes()
         write_reports(reps, str(tmp_path), prefix="x_")
-        assert open(p1, "rb").read() == a
-        assert open(p2).read().startswith("metric,mean,std,runs")
+        assert Path(p1).read_bytes() == a
+        assert Path(p2).read_text(encoding="utf-8").startswith(
+            "metric,mean,std,runs")
 
     def test_32_run_batch_rows(self):
         reps = [report(seed=s, generated=10, delivered=5, relayed=9)
