@@ -314,15 +314,10 @@ def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
         del grid[cell]
 
 
-def _co_channel_count(radio: Sequence[RadioState], ap_near: Sequence[Set[int]],
-                      nid: int) -> int:
-    """APs within range of AP nid sharing its channel, incl. itself."""
-    channel = radio[nid].channel
-    count = 1
-    for other in ap_near[nid]:
-        if radio[other].channel == channel:
-            count += 1
-    return count
+def _co_channel_count(ap_near: Sequence[Set[int]], nid: int) -> int:
+    """APs within range of AP nid, itself included: all APs share one
+    channel."""
+    return 1 + len(ap_near[nid])
 
 
 class Simulation:
@@ -421,8 +416,7 @@ class Simulation:
         if not _shares_world(config, self.config):
             raise ConfigError("a routing plane shares its world's every "
                               "setting but traffic")
-        plane = Plane(config, self.seed, self.n_nodes, self.radio,
-                      self.ap_near)
+        plane = Plane(config, self.seed, self.n_nodes, self.ap_near)
         self.planes.append(plane)
         return plane
 
@@ -562,7 +556,7 @@ class Simulation:
         for other in self._neighbors(nid, self.ap_grid):
             est = joiner_bandwidth_estimate(
                 self.link_model,
-                _co_channel_count(self.radio, self.ap_near, other),
+                _co_channel_count(self.ap_near, other),
                 len(self.radio[other].clients))
             out.append(VisibleAp(other, est))
         out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
@@ -796,8 +790,8 @@ class Simulation:
             plane.ap_active.pop(nid, None)
 
     def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
-        """Re-derive rates of the APs in `near`, those in range of a changed
-        AP nid (channel landscape), on every plane.
+        """Re-derive rates of the APs in `near`, those in range of AP nid
+        when it appeared, moved or retired, on every plane.
 
         Settle order assigns the `_seq` tie-breaks of transfer completions.
         The order is the full grid's: cell by cell, and within a cell the
@@ -854,14 +848,14 @@ class Simulation:
         return False
 
     def _take_ap_role(self, nid: int, state: RadioState, t: float) -> None:
-        """A new AP takes the least-loaded channel among the APs in range of
-        it, of which there are none (see `_ap_created`), and checks for
-        retirement at its longest term and its first idle deadline.
+        """A new AP checks for retirement at its longest term and its first
+        idle deadline.
 
-        The call to `assign_channel` is kept, so the traced
-        `radio.assign_channel.calls` counts the AP roles stepped, live or
-        replayed; the roles a dormant replay jumps over are not stepped."""
-        state.channel = assign_channel((), self.link_model.num_channels)
+        Its `assign_channel` call, whose answer nothing reads, is kept so
+        that the traced `radio.assign_channel.calls` counts the AP roles
+        stepped, live or replayed; the roles a dormant replay jumps over
+        are not stepped."""
+        assign_channel(())
         state.clients = {}
         self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
         self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
@@ -928,10 +922,10 @@ class Simulation:
           next day and moves no one. A fixed `ap_gate` entry is fixed.
         - Nothing nid changes is read while it sleeps. Range is one cell,
           so no node outside its ring sees it; it has no clients and no
-          links; a new AP has no AP in range, so it takes channel 1 and
-          its `ap_near` stays empty. A node connecting to it from afar
-          fails on range whatever its phase, and the auditors see it
-          caught up to their tick.
+          links; a new AP has no AP in range, so its `ap_near` stays
+          empty. A node connecting to it from afar fails on range
+          whatever its phase, and the auditors see it caught up to their
+          tick.
         - Its cell bumps wake no sleeper: a client sleeps on its own ring,
           so one that watched nid's cell would be in nid's ring.
         - `_radio_mark` cannot tell a skipped event apart. nid's steps
@@ -949,9 +943,9 @@ class Simulation:
         Once nid's state repeats, the replay jumps the whole periods left
         before tick `last` in one step. After each handled event it keys
         the state relative to the tick t: the event's kind, the phase,
-        `timer_expiry`, `ap_since` and `last_client_change` less t, the
-        channel, and the offset from t and kind of each live event on
-        nid's heap, in heap order. The jump is exact:
+        `timer_expiry`, `ap_since` and `last_client_change` less t, and
+        the offset from t and kind of each live event on nid's heap, in
+        heap order. The jump is exact:
 
         - A repeated key repeats until the wake. nid's steps read its
           state, its live events, the tick and the gate's answer; the
@@ -1008,7 +1002,7 @@ class Simulation:
             live = sorted(e for e in events if e[4] == epoch)
             key = (kind, state.phase, state.timer_expiry - t,
                    state.ap_since - t, state.last_client_change - t,
-                   state.channel, tuple((e[0] - t, e[3]) for e in live))
+                   tuple((e[0] - t, e[3]) for e in live))
             n0, epoch0, bumps0 = seen.setdefault(key, (n, epoch, bumps))
             if n0 == n:
                 continue
@@ -1136,7 +1130,7 @@ class Simulation:
             return
         ap = state.attached_ap
         current = member_bandwidth_estimate(
-            self.link_model, _co_channel_count(self.radio, self.ap_near, ap),
+            self.link_model, _co_channel_count(self.ap_near, ap),
             len(self.radio[ap].clients))
         best = None
         for cand in self._visible_aps(nid):
@@ -1174,18 +1168,16 @@ class Plane:
     A plane holds no reference to its world, so neither is in a
     reference cycle. The world calls it when a link opens or closes and
     when an AP appears, moves or retires; to share an AP's bandwidth the
-    plane reads the radio states and the AP neighbour table the world
-    hands it. A plane without a world, as in a contact trace, is driven
-    by its caller and overrides `_settle_ap` to set its own rates."""
+    plane reads only the AP neighbour table the world hands it. A plane
+    without a world, as in a contact trace, is driven by its caller and
+    overrides `_settle_ap` to set its own rates."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
-                 radio: Optional[List[RadioState]] = None,
                  ap_near: Optional[List[Set[int]]] = None):
         self.config = config
         self.seed = int(seed)
         self.n_nodes = n_nodes
         self.link_model = config.radio.link
-        self.radio = radio
         self.ap_near = ap_near
         self.policy = make_policy(config.routing.router)
         self.collector = MetricsCollector(self.seed)
@@ -1432,7 +1424,7 @@ class Plane:
         if not active:
             return
         rate = radio_mod.effective_bandwidth(
-            self.link_model, _co_channel_count(self.radio, self.ap_near, ap),
+            self.link_model, _co_channel_count(self.ap_near, ap),
             len(active))
         for tr in active:
             if now > tr.last_settle:

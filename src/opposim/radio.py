@@ -8,12 +8,8 @@ connect), which is where the network build/rebuild delays come from:
     initiate   = t_scan + t_ap + t_scan + t_connect   (no AP anywhere)
     reinitiate = t_scan + t_connect                   (another AP in range)
 
-A new access point takes the least-loaded of a small set of
-non-overlapping channels among the access points in its range. A node
-takes the AP role only after a scan that found no access point, so in
-practice every new one has none in range and takes channel 1; access
-points that come into range later, as nodes move, share it. Link
-bandwidth divides by co-channel access points in range and by the AP's
+All access points share one channel. An AP's link rate divides by the
+access points in its range, the AP itself included, and by the AP's
 concurrently active transfers.
 """
 
@@ -44,10 +40,9 @@ class TimingParams:
 class LinkModel:
     base_speed: float = 5_000_000.0   # bytes/s
     range: float = 20.0               # meters
-    num_channels: int = 5
 
     def validate(self) -> None:
-        if self.base_speed <= 0 or self.range <= 0 or self.num_channels < 1:
+        if self.base_speed <= 0 or self.range <= 0:
             raise ValueError("bad link model")
 
 
@@ -76,13 +71,12 @@ class Phase(Enum):
 class RadioState:
     """Per-node radio state: phase plus transition timers."""
 
-    __slots__ = ("phase", "timer_expiry", "channel", "attached_ap", "clients",
+    __slots__ = ("phase", "timer_expiry", "attached_ap", "clients",
                  "ap_since", "last_client_change", "connect_target")
 
     def __init__(self):
         self.phase = Phase.IDLE
         self.timer_expiry = 0.0
-        self.channel: Optional[int] = None
         self.attached_ap: Optional[int] = None
         self.clients: Dict[int, None] = {}
         self.ap_since = 0.0
@@ -92,7 +86,6 @@ class RadioState:
     def reset_to_scan(self, now: float, timing: TimingParams) -> None:
         self.phase = Phase.SCANNING
         self.timer_expiry = now + timing.t_scan
-        self.channel = None
         self.attached_ap = None
         self.clients = {}
         self.connect_target = None
@@ -180,7 +173,11 @@ def ap_due_retirement(state: RadioState, now: float,
 
 
 def assign_channel(nearby_channels: Iterable[int], num_channels: int = 5) -> int:
-    """Least-loaded channel among nearby APs; ties take the lowest number."""
+    """Least-loaded channel among nearby APs; ties take the lowest number.
+
+    The model has one shared channel and no AP state reads this answer.
+    The engine still calls it once per AP role it steps, so that a traced
+    run counts those roles as `radio.assign_channel.calls`."""
     loads = {ch: 0 for ch in range(1, num_channels + 1)}
     for ch in nearby_channels:
         if ch in loads:

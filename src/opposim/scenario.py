@@ -103,7 +103,6 @@ _KEYS: Tuple[Tuple[str, str, str, Callable[[str], object]], ...] = (
     ("radio", "connect_time", "radio.timing.t_connect", float),
     ("radio", "base_speed", "radio.link.base_speed", float),
     ("radio", "range", "radio.link.range", float),
-    ("radio", "channels", "radio.link.num_channels", int),
     ("radio", "p_ap", "radio.p_ap", float),
     ("radio", "client_rescan", "radio.client_rescan", float),
     ("radio", "switch_ratio", "radio.switch_ratio", float),

@@ -114,7 +114,7 @@ def recount_planes(sim, t):
         for ap, active in plane.ap_active.items():
             assert set(active) == {tr for tr in sends if tr.link.ap == ap}
             rate = effective_bandwidth(
-                sim.link_model, _co_channel_count(sim.radio, sim.ap_near, ap),
+                sim.link_model, _co_channel_count(sim.ap_near, ap),
                 len(active))
             assert all(tr.rate == rate for tr in active), (t, ap)
         pinned = {(tr.src, tr.msg.msg_id) for tr in sends}
@@ -368,7 +368,7 @@ class TestEngineInvariants:
                 if not active:
                     continue
                 cap = sim.link_model.base_speed / _co_channel_count(
-                    sim.radio, sim.ap_near, ap)
+                    sim.ap_near, ap)
                 total = sum(tr.rate for tr in active)
                 if total > cap + 1e-6:
                     violations.append((t, ap, "bandwidth"))
@@ -397,11 +397,9 @@ class TestEngineInvariants:
                 near = {o for o in aps if o != ap
                         and (sim.pos[o][0] - ax) ** 2
                         + (sim.pos[o][1] - ay) ** 2 <= r2}
-                same = sum(1 for o in near
-                           if sim.radio[o].channel == sim.radio[ap].channel)
                 if near:
                     crowded.append(t)
-                if (_co_channel_count(sim.radio, sim.ap_near, ap) != 1 + same
+                if (_co_channel_count(sim.ap_near, ap) != 1 + len(near)
                         or sim.ap_near[ap] != near):
                     mismatches.append((t, ap))
             for n in range(sim.n_nodes):
@@ -417,16 +415,14 @@ class TestEngineInvariants:
                                                ("desk", "epidemic"),
                                                ("scenario4", "hrson")])
     def test_a_new_ap_has_no_ap_in_range(self, preset, router):
-        # step_radio takes the AP role only after a scan that found no AP,
-        # so assign_channel never sees a neighbour and every new AP takes
-        # channel 1; replaying a dormant node's AP cycle relies on it
+        # step_radio takes the AP role only after a scan that found no AP;
+        # replaying a dormant node's AP cycle relies on it
         seen = []
 
         class Watched(Simulation):
             def _ap_created(self, nid, t):
                 seen.append(self._neighbors(nid, self.ap_grid))
                 super()._ap_created(nid, t)
-                assert self.radio[nid].channel == 1
 
         kw = {"nodes": 80} if preset == "scenario4" else {}
         cfg = load_scenario(preset, router=router, duration=36000.0, **kw)
@@ -630,7 +626,7 @@ def world_state(sim):
     watchers = {cell: {n: tok for n, tok in b.items() if current(n, tok)}
                 for cell, b in sim.watchers.items()}
     return {
-        "radio": [(st.phase, st.timer_expiry, st.channel, st.attached_ap,
+        "radio": [(st.phase, st.timer_expiry, st.attached_ap,
                    list(st.clients), st.ap_since, st.last_client_change,
                    st.connect_target) for st in sim.radio],
         "epoch": list(sim.epoch),

@@ -40,7 +40,6 @@ class TestTimingAlgebra:
 def ap_state(clients=0, since=0.0):
     s = RadioState()
     s.phase = Phase.AP
-    s.channel = 1
     s.ap_since = since
     s.last_client_change = since
     s.clients = {i: None for i in range(clients)}

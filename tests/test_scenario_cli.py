@@ -49,9 +49,19 @@ class TestLoadScenario:
         cfg = load_scenario("desk", router="snw")
         assert cfg.routing.router == "snw"
 
-    def test_typo_key_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="copise"):
-            parse_scenario_text("[traffic]\ncopise = 12\n")
+    # a typo, and `[radio] channels`, a key that no longer exists: all
+    # APs share one channel
+    @pytest.mark.parametrize("text,key", [
+        ("[traffic]\ncopise = 12\n", "copise"),
+        ("[radio]\nchannels = 5\n", "channels"),
+    ], ids=["copise", "channels"])
+    def test_typo_key_rejected_by_name(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario_text(text)
+
+    def test_removed_channels_override_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="channels"):
+            load_scenario("desk", overrides=["radio.channels=5"])
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="power"):
