@@ -240,7 +240,7 @@ class StaticMobility:
 
 class Transfer:
     __slots__ = ("msg", "src", "dst", "remaining", "rate", "last_settle",
-                 "started_at", "link", "epoch")
+                 "link", "epoch")
 
     def __init__(self, msg: Message, src: int, dst: int, now: float, link):
         self.msg = msg
@@ -249,7 +249,6 @@ class Transfer:
         self.remaining = float(msg.size)
         self.rate = 0.0
         self.last_settle = now
-        self.started_at = now
         self.link = link
         self.epoch = 0
 
