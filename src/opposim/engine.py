@@ -52,8 +52,9 @@ from .radio import (LinkModel, Phase, RadioState, TimingParams, VisibleAp,
                     ap_due_retirement, assign_channel,
                     joiner_bandwidth_estimate, member_bandwidth_estimate,
                     should_switch_ap, step_radio)
-from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, HasView, PeerSummary,
-                      PlannedSend, buffer_admit, make_policy, spray_split)
+from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, BufferEntry, HasView,
+                      PeerSummary, PlannedSend, buffer_admit, make_policy,
+                      spray_split)
 from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
@@ -708,13 +709,11 @@ class Simulation:
             # a moving AP drags co-channel interference along with it: to
             # the APs now in range, and away from those it left
             for plane in self.planes:
-                if plane.ap_active.get(nid):
-                    plane._settle_ap(nid, t)
+                plane._settle_ap(nid, t)
             self._resettle_neighborhood(nid, self.ap_near[nid], t)
             for plane in self.planes:
                 for other in sorted(left):
-                    if plane.ap_active.get(other):
-                        plane._settle_ap(other, t)
+                    plane._settle_ap(other, t)
 
     def _check_links_of(self, nid: int, t: float) -> None:
         """Immediate link teardown on range exit, both roles."""
@@ -755,14 +754,13 @@ class Simulation:
 
     def _phase_event(self, nid: int, t: float) -> None:
         state = self.radio[nid]
-        if state.phase in (Phase.AP, Phase.CLIENT):
+        phase = state.phase
+        if phase in _LINKED:
             return
-        if state.phase is Phase.CONNECTING:
+        if phase is Phase.CONNECTING:
             self._finish_connect(nid, t)
             return
-        visible = (self._visible_aps(nid)
-                   if state.phase in (Phase.SCANNING, Phase.BECOMING_AP)
-                   else [])
+        visible = [] if phase is Phase.RESTING else self._visible_aps(nid)
         if self._timer_step(nid, state, visible, t):
             self._ap_created(nid, t)
 
@@ -772,21 +770,9 @@ class Simulation:
         `_visible_aps` that `_phase_event` has just called found none, so
         its `ap_near` stays empty and no other AP's rate changes."""
         self._take_ap_role(nid, self.radio[nid], t)
-        self._add_ap(nid)
-        self._bump_cell(self.node_cell[nid])
-
-    def _add_ap(self, nid: int) -> None:
-        """nid enters the world's APs: `ap_grid` and every plane's
-        `ap_active`."""
-        self.ap_grid.setdefault(self.node_cell[nid], {})[nid] = None
-        for plane in self.planes:
-            plane.ap_active[nid] = {}
-
-    def _remove_ap(self, nid: int) -> None:
-        """nid leaves the world's APs, undoing `_add_ap`."""
-        _grid_remove(self.ap_grid, nid, self.node_cell[nid])
-        for plane in self.planes:
-            plane.ap_active.pop(nid, None)
+        cell = self.node_cell[nid]
+        self.ap_grid.setdefault(cell, {})[nid] = None
+        self._bump_cell(cell)
 
     def _resettle_neighborhood(self, nid: int, near, t: float) -> None:
         """Re-derive rates of the APs in `near`, those in range of AP nid
@@ -795,12 +781,12 @@ class Simulation:
         Settle order assigns the `_seq` tie-breaks of transfer completions.
         The order is the full grid's: cell by cell, and within a cell the
         order in which nodes entered it. `near` does not keep that order,
-        so it only finds the busy APs; two or more are put back in
-        full-grid order."""
+        so it only finds the busy APs, those with a plane's `ap_active`
+        entry; two or more are put back in full-grid order."""
         order = None
         for plane in self.planes:
             ap_active = plane.ap_active
-            busy = [o for o in near if ap_active.get(o)]
+            busy = [o for o in near if o in ap_active]
             if len(busy) > 1:
                 if order is None:
                     order = self._neighbors(nid, self.grid)
@@ -814,10 +800,12 @@ class Simulation:
 
     def _retire_ap(self, nid: int, t: float) -> None:
         state = self.radio[nid]
+        # closing its links ends its sends, so no plane keeps an
+        # `ap_active` entry for it
         for client in sorted(state.clients):
             self._detach_client(client, t, rescan=True, ap_alive=False)
-        self._remove_ap(nid)
         cell = self.node_cell[nid]
+        _grid_remove(self.ap_grid, nid, cell)
         if self._may_go_dormant(nid):
             self.dormant[nid] = []
             for ring_cell in _ring(*cell):
@@ -1023,9 +1011,9 @@ class Simulation:
         self._bump_cell(cell)
         is_ap = state.phase is Phase.AP
         if is_ap and not was_ap:
-            self._add_ap(nid)
+            self.ap_grid.setdefault(cell, {})[nid] = None
         elif was_ap and not is_ap:
-            self._remove_ap(nid)
+            _grid_remove(self.ap_grid, nid, cell)
 
     def _wake(self, nid: int, last: int) -> None:
         """nid stops being dormant after tick `last`: its events up to that
@@ -1069,10 +1057,9 @@ class Simulation:
         if ap is None:
             return
         state.attached_ap = None
+        # every plane opened a link on the association (`_finish_connect`)
         for plane in self.planes:
-            link = plane.links[nid].get(ap)
-            if link is not None:
-                plane._close_link(link, t)
+            plane._close_link(plane.links[nid][ap], t)
         if ap_alive:
             apstate = self.radio[ap]
             apstate.clients.pop(nid, None)
@@ -1166,10 +1153,18 @@ class Plane:
 
     A plane holds no reference to its world, so neither is in a
     reference cycle. The world calls it when a link opens or closes and
-    when an AP appears, moves or retires; to share an AP's bandwidth the
+    when an AP's co-channel count changes; to share an AP's bandwidth the
     plane reads only the AP neighbour table the world hands it. A plane
     without a world, as in a contact trace, is driven by its caller and
-    overrides `_settle_ap` to set its own rates."""
+    overrides `_settle_ap` to set its own rates.
+
+    A send lives from `_start_next`, which pins the sender's copy and
+    enters the send in `in_flight_to` and `ap_active`, to `_release`,
+    which undoes all of that; `ap_active` holds an entry only for an AP
+    with a send in flight. While a send lives its sender holds the copy:
+    eviction skips pinned copies, a pinned copy starts no second send, and
+    `_expire_messages` aborts a message's sends before it drops the
+    message's copies."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
                  ap_near: Optional[List[Set[int]]] = None):
@@ -1190,6 +1185,7 @@ class Plane:
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
         self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
+        # AP -> its sends in flight, in start order; no entry for an idle AP
         self.ap_active: Dict[int, Dict[Transfer, None]] = {}
 
         # the plane's event heaps; _seq breaks their ties
@@ -1244,7 +1240,7 @@ class Plane:
         self.holders[msg.msg_id] = set()
         msg.custodians.add(msg.source)
         ok, evicted = buffer_admit(self.buffers[msg.source], msg,
-                                   msg.copy_limit, t)
+                                   msg.copy_limit)
         heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
         if ok:
             self.holders[msg.msg_id].add(msg.source)
@@ -1252,16 +1248,14 @@ class Plane:
             self._handle_evictions(msg.source, evicted, t)
             self._offer_new_message(msg.source, msg, t)
         else:
-            self._note_copy_gone(msg.msg_id, t)
+            self._note_copy_gone(msg.msg_id)
 
     # -- TTL ---------------------------------------------------------------------
 
     def _expire_messages(self, t: float) -> None:
         while self.ttl_events and self.ttl_events[0][0] < t:
             _, mid = heapq.heappop(self.ttl_events)
-            msg = self.messages.get(mid)
-            if msg is None:
-                continue
+            msg = self.messages[mid]       # messages are never deleted
             status = self.msg_status[mid]
             # abort in-flight copies of a dead message; nothing re-offers
             # it, so the freed link serves its queue now
@@ -1350,8 +1344,7 @@ class Plane:
             heapq.heappush(events, (t + interval, self._seq, link))
 
     def _close_link(self, link: Link, t: float) -> None:
-        if not link.open:
-            return
+        """Close an open link: one of `links`, which holds no other."""
         link.open = False
         if link.active is not None:
             self._abort_transfer(link.active, t)
@@ -1441,8 +1434,8 @@ class Plane:
         events = self.transfer_events
         while events and events[0][0] <= window_end:
             finish, _, tr, epoch = heapq.heappop(events)
-            if epoch != tr.epoch or tr.link.active is not tr:
-                continue
+            if epoch != tr.epoch:
+                continue    # re-projected, or released: `_release` bumps it
             if tr.msg.expired(finish):
                 # the message died in flight: nothing is handed over
                 self._abort_transfer(tr, finish)
@@ -1450,20 +1443,28 @@ class Plane:
             else:
                 self._complete_transfer(tr, finish)
 
-    def _complete_transfer(self, tr: Transfer, now: float) -> None:
+    def _release(self, tr: Transfer) -> BufferEntry:
+        """End a live send, undoing `_start_next`: drop it from its AP's
+        `ap_active` entry and an emptied entry with it, void its pending
+        completion, free its link and `in_flight_to`, and unpin the
+        sender's copy, which it returns."""
         link = tr.link
-        ap = link.ap
-        msg = tr.msg
-        src, dst = tr.src, tr.dst
-        # settle and release bandwidth
-        active = self.ap_active.get(ap, {})
-        active.pop(tr, None)
+        active = self.ap_active[link.ap]
+        del active[tr]
+        if not active:
+            del self.ap_active[link.ap]
         tr.epoch += 1
         link.active = None
-        self.in_flight_to.discard((dst, msg.msg_id))
-        entry = self.buffers[src].get(msg.msg_id)
-        if entry is not None:
-            entry.pinned = False
+        self.in_flight_to.discard((tr.dst, tr.msg.msg_id))
+        entry = self.buffers[tr.src].get(tr.msg.msg_id)
+        entry.pinned = False
+        return entry
+
+    def _complete_transfer(self, tr: Transfer, now: float) -> None:
+        link = tr.link
+        msg = tr.msg
+        src, dst = tr.src, tr.dst
+        entry = self._release(tr)
         self.collector.on_transfer_completed()
 
         if msg.destination == dst:
@@ -1472,17 +1473,16 @@ class Plane:
             if first and self.msg_status.get(msg.msg_id) == "live":
                 self.msg_status[msg.msg_id] = "delivered"
             # sender's job is done; free its copy
-            if entry is not None:
-                self.buffers[src].remove(msg.msg_id)
-                self.holders[msg.msg_id].discard(src)
-                self.collector.on_copy_removed(src, msg.msg_id, now, "delivered")
+            self.buffers[src].remove(msg.msg_id)
+            self.holders[msg.msg_id].discard(src)
+            self.collector.on_copy_removed(src, msg.msg_id, now, "delivered")
         else:
             tokens = msg.copy_limit
-            if self.policy.uses_tokens and entry is not None:
+            if self.policy.uses_tokens:
                 give, keep = spray_split(entry.tokens)
                 entry.tokens = keep
                 tokens = give
-            ok, evicted = buffer_admit(self.buffers[dst], msg, tokens, now)
+            ok, evicted = buffer_admit(self.buffers[dst], msg, tokens)
             if ok:
                 msg.custodians.add(dst)
                 self.holders[msg.msg_id].add(dst)
@@ -1491,37 +1491,26 @@ class Plane:
                 self._offer_new_message(dst, msg, now)
             else:
                 self.refused[dst] += 1
-                if self.policy.uses_tokens and entry is not None:
+                if self.policy.uses_tokens:
                     entry.tokens += tokens    # failed hand-off returns tokens
-                self._note_copy_gone(msg.msg_id, now)
-            if entry is not None:
-                # a refusal bumps refused[dst], so the link's next summary
-                # refresh offers the copy to dst again; a re-send at once
-                # would only be refused again
-                self._offer_new_message(src, msg, now, None if ok else link)
+                self._note_copy_gone(msg.msg_id)
+            # a refusal bumps refused[dst], so the link's next summary
+            # refresh offers the copy to dst again; a re-send at once
+            # would only be refused again
+            self._offer_new_message(src, msg, now, None if ok else link)
         # refill the freed link, then square up the AP's rates; when the
         # next transfer starts immediately the shared rate is unchanged and
         # nothing needs re-pushing (zero sim time passed in between)
         self._start_next(link, now)
-        self._settle_ap(ap, now)
+        self._settle_ap(link.ap, now)
 
     def _abort_transfer(self, tr: Transfer, now: float) -> None:
-        link = tr.link
-        active = self.ap_active.get(link.ap, {})
-        if tr in active:
-            del active[tr]
-        tr.epoch += 1
-        if link.active is tr:
-            link.active = None
-        self.in_flight_to.discard((tr.dst, tr.msg.msg_id))
-        entry = self.buffers[tr.src].get(tr.msg.msg_id)
-        if entry is not None:
-            entry.pinned = False
+        """End a link's active send with nothing handed over."""
+        self._release(tr)
         self.collector.on_transfer_aborted()
-        self._settle_ap(link.ap, now)
+        self._settle_ap(tr.link.ap, now)
         if not tr.msg.expired(now):
-            if entry is not None:
-                self._offer_new_message(tr.src, tr.msg, now)
+            self._offer_new_message(tr.src, tr.msg, now)
             self._offer_inbound(tr.dst, tr.msg, now)
 
     def _handle_evictions(self, nid: int, evicted, now: float) -> None:
@@ -1532,9 +1521,9 @@ class Plane:
                                             + entry.tokens)
             self.holders[mid].discard(nid)
             self.collector.on_copy_removed(nid, mid, now, "evicted")
-            self._note_copy_gone(mid, now)
+            self._note_copy_gone(mid)
 
-    def _note_copy_gone(self, mid: int, now: float) -> None:
+    def _note_copy_gone(self, mid: int) -> None:
         if not self.holders[mid] and self.msg_status.get(mid) == "live":
             self.msg_status[mid] = "extinct"
             self.collector.on_message_extinct()

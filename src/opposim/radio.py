@@ -1,8 +1,8 @@
 """Infrastructure-mode WiFi connectivity machine.
 
 Every node is an access point, a client of one access point, or in the
-idle/scan/rest cycle looking for one. Data moves only across an
-established AP-client link. Role changes cost real time (scan, become-AP,
+scan/rest cycle looking for one. Data moves only across an established
+AP-client link. Role changes cost real time (scan, become-AP,
 connect), which is where the network build/rebuild delays come from:
 
     initiate   = t_scan + t_ap + t_scan + t_connect   (no AP anywhere)
@@ -59,7 +59,6 @@ def net_reinitiate_time(t: TimingParams, ap_available: bool) -> float:
 
 
 class Phase(Enum):
-    IDLE = 0
     SCANNING = 1
     RESTING = 2
     BECOMING_AP = 3
@@ -75,7 +74,7 @@ class RadioState:
                  "ap_since", "last_client_change", "connect_target")
 
     def __init__(self):
-        self.phase = Phase.IDLE
+        self.phase = Phase.RESTING     # its first phase event starts a scan
         self.timer_expiry = 0.0
         self.attached_ap: Optional[int] = None
         self.clients: Dict[int, None] = {}
@@ -105,11 +104,6 @@ def joiner_bandwidth_estimate(link: LinkModel, co_channel_count: int,
     return link.base_speed / max(1, co_channel_count) / (current_clients + 1)
 
 
-def member_bandwidth_estimate(link: LinkModel, co_channel_count: int,
-                              current_clients: int) -> float:
-    return link.base_speed / max(1, co_channel_count) / max(1, current_clients)
-
-
 def best_ap(visible: Sequence[VisibleAp]) -> Optional[VisibleAp]:
     return visible[0] if visible else None
 
@@ -119,40 +113,34 @@ def step_radio(state: RadioState, permits_ap: bool,
                timing: TimingParams) -> None:
     """Advance an unconnected node whose phase timer has expired.
 
-    Scan results in hand: connect to the fastest AP, else claim the AP role
-    if the routing policy permits it here, else rest and rescan. A node
-    finishing its become-AP transition defers to an AP that appeared in the
-    meantime, so co-located nodes don't all end up as client-less APs.
+    A rest ends in a scan. Scan results in hand: connect to the fastest
+    AP, else claim the AP role if the routing policy permits it here, else
+    rest and rescan. A node finishing its become-AP transition defers to
+    an AP that appeared in the meantime, so co-located nodes don't all end
+    up as client-less APs.
     """
-    if state.phase in (Phase.IDLE, Phase.RESTING):
+    phase = state.phase
+    if phase is Phase.RESTING:
         state.phase = Phase.SCANNING
         state.timer_expiry = now + timing.t_scan
         return
-    if state.phase is Phase.SCANNING:
-        target = best_ap(visible)
-        if target is not None:
-            state.phase = Phase.CONNECTING
-            state.connect_target = target.node_id
-            state.timer_expiry = now + timing.t_connect
-        elif permits_ap:
-            state.phase = Phase.BECOMING_AP
-            state.timer_expiry = now + timing.t_ap
-        else:
-            state.phase = Phase.RESTING
-            state.timer_expiry = now + timing.t_rest
-        return
-    if state.phase is Phase.BECOMING_AP:
-        target = best_ap(visible)
-        if target is not None:
-            state.phase = Phase.CONNECTING
-            state.connect_target = target.node_id
-            state.timer_expiry = now + timing.t_connect
-        else:
-            state.phase = Phase.AP
-            state.ap_since = now
-            state.last_client_change = now
-        return
-    raise ValueError(f"step_radio called in phase {state.phase}")
+    if phase is not Phase.SCANNING and phase is not Phase.BECOMING_AP:
+        raise ValueError(f"step_radio called in phase {phase}")
+    target = best_ap(visible)
+    if target is not None:
+        state.phase = Phase.CONNECTING
+        state.connect_target = target.node_id
+        state.timer_expiry = now + timing.t_connect
+    elif phase is Phase.BECOMING_AP:
+        state.phase = Phase.AP
+        state.ap_since = now
+        state.last_client_change = now
+    elif permits_ap:
+        state.phase = Phase.BECOMING_AP
+        state.timer_expiry = now + timing.t_ap
+    else:
+        state.phase = Phase.RESTING
+        state.timer_expiry = now + timing.t_rest
 
 
 def should_switch_ap(current_estimate: float, candidate_estimate: float,
@@ -190,3 +178,9 @@ def effective_bandwidth(link: LinkModel, co_channel_count: int,
     """Per-transfer rate at an AP: base speed over co-channel APs in range
     (including the AP itself), split equally among its active transfers."""
     return link.base_speed / max(1, co_channel_count) / max(1, active_transfers)
+
+
+# What a client expects from its own AP: the rate of one of as many
+# transfers as the AP has clients. One formula under two names, because
+# perfbench/tracing.py counts the calls to each name apart.
+member_bandwidth_estimate = effective_bandwidth

@@ -37,12 +37,11 @@ class RoutingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class BufferEntry:
-    __slots__ = ("message", "tokens", "received_at", "pinned")
+    __slots__ = ("message", "tokens", "pinned")
 
-    def __init__(self, message: Message, tokens: int, received_at: float):
+    def __init__(self, message: Message, tokens: int):
         self.message = message
         self.tokens = tokens
-        self.received_at = received_at
         self.pinned = False      # an outgoing transfer is using this entry
 
 
@@ -81,8 +80,8 @@ class Buffer:
         return entry
 
 
-def buffer_admit(buffer: Buffer, message: Message, tokens: int,
-                 now: float) -> Tuple[bool, List[BufferEntry]]:
+def buffer_admit(buffer: Buffer, message: Message,
+                 tokens: int) -> Tuple[bool, List[BufferEntry]]:
     """Store a message copy, evicting oldest unpinned entries to make room.
 
     Returns (admitted, evicted_entries). A message larger than the whole
@@ -109,7 +108,7 @@ def buffer_admit(buffer: Buffer, message: Message, tokens: int,
         for entry in evicted:
             del buffer.entries[entry.message.msg_id]
         buffer.used = used
-    buffer.entries[message.msg_id] = BufferEntry(message, tokens, now)
+    buffer.entries[message.msg_id] = BufferEntry(message, tokens)
     buffer.used += message.size
     buffer.version += 1
     return True, evicted

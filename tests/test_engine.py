@@ -83,9 +83,11 @@ def recount_planes(sim, t):
     """Auditor: each plane's in_flight_to, ap_active, holders, pins and
     Buffer.used recomputed from its links and buffers, its links from the
     world's associations, and every send's rate from its AP's co-channel
-    count and sends. A link whose summary_key is current lacks no offer: a
-    fresh summary exchange plans nothing that is not queued on it, pinned
-    at its sender, in flight to its receiver or expired."""
+    count and sends. Every send's sender holds its copy, pinned, and
+    ap_active has a non-empty entry for exactly the APs with a send. A
+    link whose summary_key is current lacks no offer: a fresh summary
+    exchange plans nothing that is not queued on it, pinned at its
+    sender, in flight to its receiver or expired."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
@@ -110,14 +112,20 @@ def recount_planes(sim, t):
                     assert ((src, mid) in link.queued or entry.pinned
                             or (dst, mid) in plane.in_flight_to
                             or entry.message.expired(t)), (t, src, dst, mid)
-        assert set(plane.ap_active) == aps
+        busy = {tr.link.ap for tr in sends}
+        assert set(plane.ap_active) == busy, t
+        assert busy <= aps
         for ap, active in plane.ap_active.items():
+            assert active, (t, ap)
             assert set(active) == {tr for tr in sends if tr.link.ap == ap}
             rate = effective_bandwidth(
                 sim.link_model, _co_channel_count(sim.ap_near, ap),
                 len(active))
             assert all(tr.rate == rate for tr in active), (t, ap)
         pinned = {(tr.src, tr.msg.msg_id) for tr in sends}
+        for src, mid in pinned:
+            entry = plane.buffers[src].get(mid)
+            assert entry is not None and entry.pinned, (t, src, mid)
         held = {}
         for nid, buf in enumerate(plane.buffers):
             assert buf.used == sum(e.message.size for e in buf.entries.values())
@@ -844,7 +852,7 @@ class TestSummaryRefresh:
         sim.msg_status[0] = "live"
         sim.holders[0] = set(holders)
         for h in holders:
-            assert buffer_admit(sim.buffers[h], msg, 10, 0.0)[0]
+            assert buffer_admit(sim.buffers[h], msg, 10)[0]
             msg.custodians.add(h)
         return sim, spy
 
@@ -887,7 +895,7 @@ class TestSummaryRefresh:
         sim.messages[1] = extra
         sim.msg_status[1] = "live"
         sim.holders[1] = {1}
-        assert buffer_admit(sim.buffers[1], extra, 10, 0.0)[0]
+        assert buffer_admit(sim.buffers[1], extra, 10)[0]
         sim._refresh_step(2 * refresh)
         assert sorted(spy.scans_by_node(sim)) == [(0, 1, []), (1, 0, [1])]
 

@@ -15,28 +15,21 @@ def msg(mid, src=0, dst=1, size=MB, created=0.0, ttl=86400.0, copies=10):
     return Message(mid, src, dst, size, created, ttl, copies)
 
 
-def fill(buffer, messages, now=0.0, tokens=10):
-    for m in messages:
-        ok, _ = buffer_admit(buffer, m, tokens, now)
-        assert ok
-        m.custodians.add(99)  # placeholder holder id, overwritten by tests
-
-
 class TestBufferAdmit:
     def test_trivial_fit_no_eviction(self):
         b = Buffer(100 * MB)
-        ok, evicted = buffer_admit(b, msg(1), 10, now=0.0)
+        ok, evicted = buffer_admit(b, msg(1), 10)
         assert ok and evicted == []
         assert b.used == MB
 
     def test_fifo_eviction_makes_room(self):
         b = Buffer(100 * MB)
         for i in range(100):  # exactly full: 100 x 1 MB
-            ok, _ = buffer_admit(b, msg(i, size=MB), 10, now=float(i))
+            ok, _ = buffer_admit(b, msg(i, size=MB), 10)
             assert ok
         assert b.used == 100 * MB
         big = msg(500, size=int(1.5 * MB))
-        ok, evicted = buffer_admit(b, big, 10, now=200.0)
+        ok, evicted = buffer_admit(b, big, 10)
         assert ok
         # Oldest-received entries go first, just enough to fit 1.5 MB.
         assert [e.message.msg_id for e in evicted] == [0, 1]
@@ -44,16 +37,16 @@ class TestBufferAdmit:
 
     def test_oversized_message_rejected(self):
         b = Buffer(100 * MB)
-        ok, evicted = buffer_admit(b, msg(1, size=101 * MB), 10, now=0.0)
+        ok, evicted = buffer_admit(b, msg(1, size=101 * MB), 10)
         assert not ok and evicted == []
         assert b.used == 0
 
     def test_pinned_entries_survive_eviction(self):
         b = Buffer(2 * MB)
-        buffer_admit(b, msg(1), 10, now=0.0)
-        buffer_admit(b, msg(2), 10, now=1.0)
+        buffer_admit(b, msg(1), 10)
+        buffer_admit(b, msg(2), 10)
         b.get(1).pinned = True
-        ok, evicted = buffer_admit(b, msg(3), 10, now=2.0)
+        ok, evicted = buffer_admit(b, msg(3), 10)
         assert ok
         assert [e.message.msg_id for e in evicted] == [2]
         assert 1 in b
@@ -61,26 +54,26 @@ class TestBufferAdmit:
     def test_refused_admit_keeps_fifo_order(self):
         b = Buffer(300)
         for i in range(3):
-            ok, _ = buffer_admit(b, msg(i, size=100), 10, now=float(i))
+            ok, _ = buffer_admit(b, msg(i, size=100), 10)
             assert ok
         b.get(2).pinned = True
         version = b.version
         # evicting 0 and 1 still leaves no room next to the pinned copy
-        ok, evicted = buffer_admit(b, msg(10, size=250), 10, now=3.0)
+        ok, evicted = buffer_admit(b, msg(10, size=250), 10)
         assert not ok and evicted == []
         assert b.ids() == [0, 1, 2]
         assert b.used == 300 and b.version == version
         b.get(2).pinned = False
-        ok, evicted = buffer_admit(b, msg(11, size=100), 10, now=4.0)
+        ok, evicted = buffer_admit(b, msg(11, size=100), 10)
         assert ok
         assert [e.message.msg_id for e in evicted] == [0]
         assert b.ids() == [1, 2, 11]
 
     def test_duplicate_id_rejected(self):
         b = Buffer(100 * MB)
-        buffer_admit(b, msg(1), 10, now=0.0)
+        buffer_admit(b, msg(1), 10)
         with pytest.raises(RoutingError):
-            buffer_admit(b, msg(1), 10, now=1.0)
+            buffer_admit(b, msg(1), 10)
 
 
 def far_apart(n, traffic=None):
@@ -128,8 +121,8 @@ class TestTtlSweep:
 class TestSummaryExchange:
     def test_disjoint_buffers(self):
         sim = far_apart(2)
-        buffer_admit(sim.buffers[0], msg(1), 10, 0.0)
-        buffer_admit(sim.buffers[1], msg(2), 10, 0.0)
+        buffer_admit(sim.buffers[0], msg(1), 10)
+        buffer_admit(sim.buffers[1], msg(2), 10)
         view_b, view_a = sim._summary_of(1), sim._summary_of(0)
         assert view_b.node_id == 1 and view_a.node_id == 0
         assert 2 in view_b.has and 1 not in view_b.has
@@ -138,13 +131,13 @@ class TestSummaryExchange:
     def test_identical_buffers_empty_wantlists(self):
         sim = far_apart(2)
         for b in sim.buffers:
-            buffer_admit(b, msg(1), 10, 0.0)
+            buffer_admit(b, msg(1), 10)
         peer = sim._summary_of(1)
         assert EPIDEMIC.select_transfers(sim.buffers[0], peer) == []
 
     def test_delivered_ids_count_as_has(self):
         sim = far_apart(2)
-        buffer_admit(sim.buffers[0], msg(3, dst=1), 10, 0.0)
+        buffer_admit(sim.buffers[0], msg(3, dst=1), 10)
         peer = sim._summary_of(1)
         assert len(EPIDEMIC.select_transfers(sim.buffers[0], peer)) == 1
         sim.delivered[1].add(3)
@@ -156,15 +149,15 @@ class TestEpidemicSelect:
         b = Buffer()
         m1 = msg(1, dst=99, created=0.0)
         m2 = msg(2, dst=11, created=5.0)
-        buffer_admit(b, m1, 10, 0.0)
-        buffer_admit(b, m2, 10, 5.0)
+        buffer_admit(b, m1, 10)
+        buffer_admit(b, m2, 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(11, frozenset()))
         assert [p.msg_id for p in plans] == [2, 1]
         assert plans[0].direct and not plans[1].direct
 
     def test_peer_lacking_nothing(self):
         b = Buffer()
-        buffer_admit(b, msg(1), 10, 0.0)
+        buffer_admit(b, msg(1), 10)
         peer = PeerSummary(5, frozenset({1}))
         assert EPIDEMIC.select_transfers(b, peer) == []
 
@@ -174,14 +167,14 @@ class TestEpidemicSelect:
         b = Buffer()
         m1 = msg(1, dst=99)
         m1.custodians.update({0, 5})
-        buffer_admit(b, m1, 10, 0.0)
+        buffer_admit(b, m1, 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [1]
 
     def test_oldest_first_within_class(self):
         b = Buffer()
         for mid, created in ((1, 30.0), (2, 10.0), (3, 20.0)):
-            buffer_admit(b, msg(mid, dst=99, created=created), 10, created)
+            buffer_admit(b, msg(mid, dst=99, created=created), 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [2, 3, 1]
 
@@ -197,12 +190,12 @@ class TestSnwSelect:
 
     def test_single_token_not_offered(self):
         b = Buffer()
-        buffer_admit(b, msg(1, dst=99), tokens=1, now=0.0)
+        buffer_admit(b, msg(1, dst=99), tokens=1)
         assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
 
     def test_single_token_direct_delivery_allowed(self):
         b = Buffer()
-        buffer_admit(b, msg(1, dst=5), tokens=1, now=0.0)
+        buffer_admit(b, msg(1, dst=5), tokens=1)
         plans = SNW.select_transfers(b, PeerSummary(5, frozenset()))
         assert [p.msg_id for p in plans] == [1] and plans[0].direct
 
@@ -210,7 +203,7 @@ class TestSnwSelect:
         b = Buffer()
         m = msg(1, dst=99)
         m.custodians.update({0, 5})
-        buffer_admit(b, m, tokens=8, now=0.0)
+        buffer_admit(b, m, tokens=8)
         assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
         assert len(SNW.select_transfers(b, PeerSummary(6, frozenset()))) == 1
 
@@ -258,7 +251,7 @@ class TestPolicies:
 
     def test_hrson_forwards_like_snw(self):
         b = Buffer()
-        buffer_admit(b, msg(1, dst=99), tokens=4, now=0.0)
+        buffer_admit(b, msg(1, dst=99), tokens=4)
         peer = PeerSummary(5, frozenset())
         assert (make_policy("hrson").select_transfers(b, peer)
                 == make_policy("snw").select_transfers(b, peer))

@@ -20,5 +20,6 @@ def test_trace_targets_exist_and_record_calls(monkeypatch):
     with tracing.instrumented(tracing.Tracer()) as tracer:
         Simulation(cfg, 1).run()
     for name in ("radio.assign_channel", "radio.step_radio",
+                 "radio.bandwidth.member", "radio.bandwidth.effective",
                  "mobility.position"):
         assert tracer.stats(name)[0] > 0, name
