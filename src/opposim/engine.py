@@ -48,10 +48,10 @@ from .map_graph import (PoiKind, SegmentLayout, parse_map, place_pois,
 from .metrics import MetricsCollector, MetricsReport
 from .mobility import (DAY, MobilityError, MobilityModel, MobilitySettings,
                        build_profiles)
-from .radio import (LinkModel, Phase, RadioState, TimingParams, VisibleAp,
-                    ap_due_retirement, assign_channel,
-                    joiner_bandwidth_estimate, member_bandwidth_estimate,
-                    should_switch_ap, step_radio)
+from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, LinkModel,
+                    RadioState, TimingParams, VisibleAp, ap_due_retirement,
+                    assign_channel, joiner_bandwidth_estimate,
+                    member_bandwidth_estimate, should_switch_ap, step_radio)
 from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, BufferEntry, HasView,
                       PeerSummary, PlannedSend, buffer_admit, make_policy,
                       spray_split)
@@ -59,7 +59,7 @@ from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
                "policy": 5}
-_LINKED = (Phase.AP, Phase.CLIENT)     # the phases that hold links
+_LINKED = (AP, CLIENT)   # the phases that hold links
 
 
 class ConfigError(ValueError):
@@ -691,7 +691,7 @@ class Simulation:
             for other in list(self.dormant_on.get(new_cell, ())):
                 self._wake(other, last)
         self.pos[nid] = newpos
-        is_ap = self.radio[nid].phase is Phase.AP
+        is_ap = self.radio[nid].phase is AP
         if new_cell != old_cell:
             _grid_remove(self.grid, nid, old_cell)
             self.grid.setdefault(new_cell, {})[nid] = None
@@ -719,13 +719,13 @@ class Simulation:
         """Immediate link teardown on range exit, both roles."""
         r2 = self.link_model.range ** 2
         state = self.radio[nid]
-        if state.phase is Phase.CLIENT and state.attached_ap is not None:
+        if state.phase is CLIENT:
             ap = state.attached_ap
             ax, ay = self.pos[ap]
             x, y = self.pos[nid]
             if (ax - x) ** 2 + (ay - y) ** 2 > r2:
                 self._detach_client(nid, t, rescan=True)
-        elif state.phase is Phase.AP:
+        elif state.phase is AP:
             x, y = self.pos[nid]
             for client in sorted(state.clients):
                 cx, cy = self.pos[client]
@@ -753,14 +753,18 @@ class Simulation:
                 self._client_rescan_result(nid, t)
 
     def _phase_event(self, nid: int, t: float) -> None:
+        """nid's phase timer ran out. nid is neither AP nor CLIENT: a node
+        has at most one live phase event, and takes either role only while
+        handling it (`_timer_step`, `_finish_connect`), without pushing
+        another; it leaves either role only through `_leave_ap_role` or
+        `_detach_client`, which bump its epoch before a new phase event is
+        pushed."""
         state = self.radio[nid]
         phase = state.phase
-        if phase in _LINKED:
-            return
-        if phase is Phase.CONNECTING:
+        if phase is CONNECTING:
             self._finish_connect(nid, t)
             return
-        visible = [] if phase is Phase.RESTING else self._visible_aps(nid)
+        visible = [] if phase is RESTING else self._visible_aps(nid)
         if self._timer_step(nid, state, visible, t):
             self._ap_created(nid, t)
 
@@ -826,10 +830,10 @@ class Simulation:
         """A scanning, resting or becoming-AP node whose timer ran out takes
         its next phase, asking the AP gate after a scan that found no AP.
         True if it took the AP role; else its next phase event is pushed."""
-        permits = (not visible and state.phase is Phase.SCANNING
+        permits = (not visible and state.phase is SCANNING
                    and self._ap_allowed(nid))
         step_radio(state, permits, visible, t, self.timing)
-        if state.phase is Phase.AP:
+        if state.phase is AP:
             return True
         self._push_radio(state.timer_expiry, nid, "phase")
         return False
@@ -849,9 +853,11 @@ class Simulation:
 
     def _apcheck_step(self, nid: int, state: RadioState, t: float) -> bool:
         """True if the AP is due to retire; else an AP without clients
-        checks again at its idle deadline."""
-        if state.phase is not Phase.AP:
-            return False
+        checks again at its idle deadline.
+
+        nid is an AP: apchecks are pushed only for an AP, and a node
+        leaves the AP role only by retiring, whose `_leave_ap_role` bumps
+        its epoch and so voids them all."""
         radio = self.config.radio
         if ap_due_retirement(state, t, radio.ap_idle_timeout,
                              radio.ap_max_duration):
@@ -967,7 +973,7 @@ class Simulation:
         epochs = self.epoch
         tick = self.config.tick
         upto = last * tick
-        was_ap = state.phase is Phase.AP
+        was_ap = state.phase is AP
         bumps = 0
         seen = {} if self._replay_jumps else None
         while events and events[0][0] <= upto:
@@ -1009,7 +1015,7 @@ class Simulation:
         cell = self.node_cell[nid]
         self.cellver[cell] = self.cellver.get(cell, 0) + bumps - 1
         self._bump_cell(cell)
-        is_ap = state.phase is Phase.AP
+        is_ap = state.phase is AP
         if is_ap and not was_ap:
             self.ap_grid.setdefault(cell, {})[nid] = None
         elif was_ap and not is_ap:
@@ -1027,12 +1033,15 @@ class Simulation:
             _grid_remove(self.dormant_on, nid, cell)
 
     def _finish_connect(self, nid: int, t: float) -> None:
+        """CONNECTING nid attaches to its target if that is still an AP in
+        range, else scans again. Every entry into CONNECTING sets the
+        target (`step_radio`, `_client_rescan_result`)."""
         state = self.radio[nid]
         target = state.connect_target
         state.connect_target = None
-        tstate = self.radio[target] if target is not None else None
+        tstate = self.radio[target]
         r2 = self.link_model.range ** 2
-        ok = (tstate is not None and tstate.phase is Phase.AP)
+        ok = tstate.phase is AP
         if ok:
             tx, ty = self.pos[target]
             x, y = self.pos[nid]
@@ -1040,7 +1049,7 @@ class Simulation:
         if not ok:
             self._scan_again(nid, state, t)
             return
-        state.phase = Phase.CLIENT
+        state.phase = CLIENT
         state.attached_ap = target
         tstate.clients[nid] = None
         tstate.last_client_change = t
@@ -1052,10 +1061,13 @@ class Simulation:
 
     def _detach_client(self, nid: int, t: float, rescan: bool,
                        ap_alive: bool = True) -> None:
+        """End CLIENT nid's association. Every caller passes an attached
+        client: a node is CLIENT exactly while it has an `attached_ap`, as
+        `_finish_connect` sets both and a CLIENT leaves that phase only
+        through this method, whose callers then scan or connect again; and
+        each of an AP's `clients` is attached to it."""
         state = self.radio[nid]
         ap = state.attached_ap
-        if ap is None:
-            return
         state.attached_ap = None
         # every plane opened a link on the association (`_finish_connect`)
         for plane in self.planes:
@@ -1097,7 +1109,7 @@ class Simulation:
           n * tick, so the idle fast-forward may skip the ticks the polls
           used to force."""
         state = self.radio[nid]
-        if state.phase is not Phase.CLIENT:
+        if state.phase is not CLIENT:
             return
         ring = _ring(*self.node_cell[nid])
         key = (*map(self.cellver.get, ring), state.attached_ap)
@@ -1112,7 +1124,7 @@ class Simulation:
 
     def _client_rescan_result(self, nid: int, t: float) -> None:
         state = self.radio[nid]
-        if state.phase is not Phase.CLIENT:
+        if state.phase is not CLIENT:
             return
         ap = state.attached_ap
         current = member_bandwidth_estimate(
@@ -1127,7 +1139,7 @@ class Simulation:
                 current, best.estimated_bandwidth,
                 self.config.radio.switch_ratio):
             self._detach_client(nid, t, rescan=False)
-            state.phase = Phase.CONNECTING
+            state.phase = CONNECTING
             state.connect_target = best.node_id
             state.timer_expiry = t + self.timing.t_connect
             self._push_radio(state.timer_expiry, nid, "phase")
@@ -1164,7 +1176,12 @@ class Plane:
     with a send in flight. While a send lives its sender holds the copy:
     eviction skips pinned copies, a pinned copy starts no second send, and
     `_expire_messages` aborts a message's sends before it drops the
-    message's copies."""
+    message's copies.
+
+    Each node's peer view (`summaries`, read through `_summary_of`) is
+    built once, with the plane. That is exact because the plane never
+    rebinds a node's buffer or delivered set, and the view reads both
+    live."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
                  ap_near: Optional[List[Set[int]]] = None):
@@ -1183,6 +1200,9 @@ class Plane:
                                       for _ in range(n)]
         self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
+        self.summaries: List[PeerSummary] = [
+            PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]))
+            for nid in range(n)]
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
         self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
         # AP -> its sends in flight, in start order; no entry for an idle AP
@@ -1277,9 +1297,11 @@ class Plane:
     # -- links and transfers -----------------------------------------------------
 
     def _summary_of(self, nid: int) -> PeerSummary:
-        # Lazy membership view: semantically the peer's buffered + delivered
-        # id set, without materializing it on every offer check.
-        return PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]))
+        """nid's peer view: its buffered plus delivered ids, read live
+        rather than copied on every offer check. The view is built once per
+        node, which is exact: the plane never rebinds `buffers[nid]` or
+        `delivered[nid]`, and `HasView` reads both at each lookup."""
+        return self.summaries[nid]
 
     def _establish_link(self, ap: int, client: int, t: float) -> None:
         link = Link(ap, client)

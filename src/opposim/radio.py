@@ -11,6 +11,12 @@ connect), which is where the network build/rebuild delays come from:
 All access points share one channel. An AP's link rate divides by the
 access points in its range, the AP itself included, and by the AP's
 concurrently active transfers.
+
+The phases are bound to module names as well, in definition order
+(`SCANNING, RESTING, ..., CLIENT = Phase`), and the hot paths here and in
+the engine read those: a module name costs a global lookup, where
+`Phase.AP` is an enum class-attribute lookup about ten times dearer.
+`Phase.AP` and `AP` are the same object, so `is` tests mix freely.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ class Phase(Enum):
     CLIENT = 6
 
 
+SCANNING, RESTING, BECOMING_AP, CONNECTING, AP, CLIENT = Phase
+
+
 class RadioState:
     """Per-node radio state: phase plus transition timers."""
 
@@ -74,7 +83,7 @@ class RadioState:
                  "ap_since", "last_client_change", "connect_target")
 
     def __init__(self):
-        self.phase = Phase.RESTING     # its first phase event starts a scan
+        self.phase = RESTING     # its first phase event starts a scan
         self.timer_expiry = 0.0
         self.attached_ap: Optional[int] = None
         self.clients: Dict[int, None] = {}
@@ -83,7 +92,7 @@ class RadioState:
         self.connect_target: Optional[int] = None
 
     def reset_to_scan(self, now: float, timing: TimingParams) -> None:
-        self.phase = Phase.SCANNING
+        self.phase = SCANNING
         self.timer_expiry = now + timing.t_scan
         self.attached_ap = None
         self.clients = {}
@@ -120,26 +129,26 @@ def step_radio(state: RadioState, permits_ap: bool,
     up as client-less APs.
     """
     phase = state.phase
-    if phase is Phase.RESTING:
-        state.phase = Phase.SCANNING
+    if phase is RESTING:
+        state.phase = SCANNING
         state.timer_expiry = now + timing.t_scan
         return
-    if phase is not Phase.SCANNING and phase is not Phase.BECOMING_AP:
+    if phase is not SCANNING and phase is not BECOMING_AP:
         raise ValueError(f"step_radio called in phase {phase}")
     target = best_ap(visible)
     if target is not None:
-        state.phase = Phase.CONNECTING
+        state.phase = CONNECTING
         state.connect_target = target.node_id
         state.timer_expiry = now + timing.t_connect
-    elif phase is Phase.BECOMING_AP:
-        state.phase = Phase.AP
+    elif phase is BECOMING_AP:
+        state.phase = AP
         state.ap_since = now
         state.last_client_change = now
     elif permits_ap:
-        state.phase = Phase.BECOMING_AP
+        state.phase = BECOMING_AP
         state.timer_expiry = now + timing.t_ap
     else:
-        state.phase = Phase.RESTING
+        state.phase = RESTING
         state.timer_expiry = now + timing.t_rest
 
 
@@ -153,7 +162,7 @@ def ap_due_retirement(state: RadioState, now: float,
                       idle_timeout: float = 60.0,
                       max_duration: float = 600.0) -> bool:
     """An AP steps down after idling without clients or serving too long."""
-    if state.phase is not Phase.AP:
+    if state.phase is not AP:
         return False
     if not state.clients and now - state.last_client_change >= idle_timeout:
         return True

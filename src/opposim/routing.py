@@ -186,7 +186,9 @@ class EpidemicPolicy(RouterPolicy):
     pressure is offered it again; flooding keeps no per-peer history.
 
     Subclasses change only `_forwards`, the rule for one copy; both
-    entry points apply it."""
+    entry points apply it. `_forwards` must stay a pure predicate of the
+    entry and the peer view, with no side effect, so that a rule may run
+    its tests in any order and put its cheap ones first."""
 
     name = "epidemic"
 
@@ -220,12 +222,14 @@ class SprayAndWaitPolicy(EpidemicPolicy):
 
     @staticmethod
     def _forwards(entry, peer):
+        # the peer view's lookup goes last: most copies hold one token and
+        # wait for their destination, so their test ends before it
         m = entry.message
-        if m.msg_id in peer.has:
-            return False
-        if m.destination == peer.node_id:
-            return True
-        return entry.tokens >= 2 and peer.node_id not in m.custodians
+        dst = peer.node_id
+        if m.destination == dst:
+            return m.msg_id not in peer.has
+        return (entry.tokens >= 2 and dst not in m.custodians
+                and m.msg_id not in peer.has)
 
 
 class HrsonPolicy(SprayAndWaitPolicy):

@@ -12,7 +12,7 @@ from opposim.engine import (
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
 from opposim.radio import Phase, TimingParams, effective_bandwidth
-from opposim.routing import EpidemicPolicy, buffer_admit
+from opposim.routing import EpidemicPolicy, HasView, PeerSummary, buffer_admit
 from opposim.scenario import load_scenario
 from opposim.traffic import Message, TrafficConfig
 
@@ -86,12 +86,19 @@ def recount_planes(sim, t):
     count and sends. Every send's sender holds its copy, pinned, and
     ap_active has a non-empty entry for exactly the APs with a send. A
     link whose summary_key is current lacks no offer: a fresh summary
-    exchange plans nothing that is not queued on it, pinned at its
-    sender, in flight to its receiver or expired."""
+    exchange, over peer views built here, plans nothing that is not queued
+    on it, pinned at its sender, in flight to its receiver or expired.
+    Each node's cached peer view is its own and reads its live buffer and
+    delivered set."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
     for plane in sim.planes:
+        assert len(plane.summaries) == len(plane.buffers)
+        for nid, view in enumerate(plane.summaries):
+            assert view.node_id == nid
+            assert view.has.buffer is plane.buffers[nid]
+            assert view.has.delivered is plane.delivered[nid]
         links = {id(link): link for ends in plane.links
                  for link in ends.values()}.values()
         assert {(link.ap, link.client) for link in links} == clients
@@ -105,8 +112,10 @@ def recount_planes(sim, t):
             if link.summary_key != plane._summary_key(link):
                 continue
             for src, dst in ((link.ap, link.client), (link.client, link.ap)):
+                fresh = PeerSummary(dst, HasView(plane.buffers[dst],
+                                                 plane.delivered[dst]))
                 for plan in plane.policy.select_transfers(
-                        plane.buffers[src], plane._summary_of(dst)):
+                        plane.buffers[src], fresh):
                     mid = plan.msg_id
                     entry = plane.buffers[src].get(mid)
                     assert ((src, mid) in link.queued or entry.pinned

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
 from opposim.routing import (
-    Buffer, PeerSummary, RoutingError, buffer_admit, make_policy, spray_split,
+    Buffer, HasView, PeerSummary, RoutingError, buffer_admit, make_policy,
+    spray_split,
 )
 from opposim.traffic import Message, TrafficConfig
 
@@ -206,6 +209,46 @@ class TestSnwSelect:
         buffer_admit(b, m, tokens=8)
         assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
         assert len(SNW.select_transfers(b, PeerSummary(6, frozenset()))) == 1
+
+
+def lookup_first_spray_rule(entry, peer):
+    """The spray rule with the peer view's lookup first, as it was written
+    before the rule put its cheap tests first."""
+    m = entry.message
+    if m.msg_id in peer.has:
+        return False
+    if m.destination == peer.node_id:
+        return True
+    return entry.tokens >= 2 and peer.node_id not in m.custodians
+
+
+def test_spray_rule_order_keeps_the_lookup_first_answers():
+    # every combination of destination, tokens, custody and where the peer
+    # holds the id, through both entry points of both spray routers
+    peer_id = 5
+    for router, to_peer, tokens, custodian, held in itertools.product(
+            ("snw", "hrson"), (True, False), (1, 2, 3), (True, False),
+            ("buffer", "delivered", None)):
+        case = (router, to_peer, tokens, custodian, held)
+        m = msg(1, dst=peer_id if to_peer else 99)
+        m.custodians.add(0)
+        if custodian:
+            m.custodians.add(peer_id)
+        local = Buffer()
+        buffer_admit(local, m, tokens)
+        peer_buffer, delivered = Buffer(), set()
+        if held == "buffer":
+            buffer_admit(peer_buffer, msg(1, dst=m.destination), 1)
+        elif held == "delivered":
+            delivered.add(1)
+        peer = PeerSummary(peer_id, HasView(peer_buffer, delivered))
+        policy = make_policy(router)
+        entry = local.get(1)
+        want = lookup_first_spray_rule(entry, peer)
+        assert policy.eligible(entry, peer) is want, case
+        plans = policy.select_transfers(local, peer)
+        assert [(p.msg_id, p.direct) for p in plans] == (
+            [(1, to_peer)] if want else []), case
 
 
 class TestPolicies:
