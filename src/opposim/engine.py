@@ -37,8 +37,10 @@ import dataclasses
 import heapq
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -617,14 +619,22 @@ class Simulation:
         return planes[0].report
 
     def _next_tick(self, n: int, tick: float, end: float, day: int) -> int:
-        """Index of the next tick to visit after tick n."""
+        """Index of the next tick to visit after tick n.
+
+        A world event due before tick n + 2 forces tick n + 1 whatever the
+        rest of the horizon holds: the last tick at or before its time is
+        at most n + 1, so the planes are asked only when a skip is
+        possible."""
         if self.moving or self._move_idx < len(self.scripted_moves):
             return n + 1
         # idle fast-forward: the last tick at or before the earliest
         # pending event
+        soon = (n + 2) * tick
         horizon = min(end, day * DAY, self._next_audit)
         for heap in (self.radio_events, self.mobility_events):
             if heap:
+                if heap[0][0] < soon:
+                    return n + 1
                 horizon = min(horizon, heap[0][0])
         for plane in self.planes:
             horizon = min(horizon, plane._horizon(tick))
@@ -1107,10 +1117,12 @@ class Simulation:
           left out reorder nothing.
         - A tick with no event does nothing, and tick n is visited at
           n * tick, so the idle fast-forward may skip the ticks the polls
-          used to force."""
+          used to force.
+
+        nid is a CLIENT: rescan events are pushed only for a CLIENT, and a
+        CLIENT leaves that phase only through `_detach_client`, which bumps
+        its epoch and so voids them."""
         state = self.radio[nid]
-        if state.phase is not CLIENT:
-            return
         ring = _ring(*self.node_cell[nid])
         key = (*map(self.cellver.get, ring), state.attached_ap)
         if self.client_scan_key.get(nid) == key:
@@ -1123,9 +1135,11 @@ class Simulation:
         self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
 
     def _client_rescan_result(self, nid: int, t: float) -> None:
+        """A CLIENT's background scan ends: it moves to a visible AP that
+        `should_switch_ap` prefers, or polls again `client_rescan` later.
+        nid is a CLIENT, as in `_client_rescan`: its rescan events are
+        pushed only while it is one, and `_detach_client` voids them."""
         state = self.radio[nid]
-        if state.phase is not CLIENT:
-            return
         ap = state.attached_ap
         current = member_bandwidth_estimate(
             self.link_model, _co_channel_count(self.ap_near, ap),
@@ -1181,7 +1195,8 @@ class Plane:
     Each node's peer view (`summaries`, read through `_summary_of`) is
     built once, with the plane. That is exact because the plane never
     rebinds a node's buffer or delivered set, and the view reads both
-    live."""
+    live. The view's `addressed` is the node's list in `addressed`, to
+    which `_inject` appends the id of each message addressed to it."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
                  ap_near: Optional[List[Set[int]]] = None):
@@ -1200,19 +1215,25 @@ class Plane:
                                       for _ in range(n)]
         self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
+        # destination -> ids of the messages addressed to it, in creation
+        # order; a contact trace may address a node outside the plane,
+        # whose list no view reads
+        self.addressed: Dict[int, List[int]] = {nid: [] for nid in range(n)}
         self.summaries: List[PeerSummary] = [
-            PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]))
+            PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]),
+                        self.addressed[nid])
             for nid in range(n)]
         self.links: List[Dict[int, Link]] = [dict() for _ in range(n)]
         self.in_flight_to: Set[Tuple[int, int]] = set()  # (receiver, msg_id)
         # AP -> its sends in flight, in start order; no entry for an idle AP
         self.ap_active: Dict[int, Dict[Transfer, None]] = {}
 
-        # the plane's event heaps; _seq breaks their ties
+        # the plane's event queues; _seq breaks the ties of transfer
+        # events, and refreshes are FIFO (see `_refresh_step`)
         self._seq = 0
         self.transfer_events: List[Tuple[float, int, Transfer, int]] = []
         self.ttl_events: List[Tuple[float, int]] = []
-        self.refresh_events: List[Tuple[float, int, Link]] = []
+        self.refresh_events: Deque[Tuple[float, Link]] = deque()
 
         # message bookkeeping
         self.messages: Dict[int, Message] = {}
@@ -1230,9 +1251,9 @@ class Plane:
         finish, so it completes before that tick's radio step whichever
         ticks other events make the loop visit."""
         horizon = math.inf
-        for heap in (self.ttl_events, self.refresh_events):
-            if heap:
-                horizon = min(horizon, heap[0][0])
+        for queue in (self.ttl_events, self.refresh_events):
+            if queue:
+                horizon = min(horizon, queue[0][0])
         if self.transfer_events:
             horizon = min(horizon, self.transfer_events[0][0] - tick)
         if self.next_create is not None:
@@ -1258,6 +1279,7 @@ class Plane:
         self.messages[msg.msg_id] = msg
         self.msg_status[msg.msg_id] = "live"
         self.holders[msg.msg_id] = set()
+        self.addressed.setdefault(msg.destination, []).append(msg.msg_id)
         msg.custodians.add(msg.source)
         ok, evicted = buffer_admit(self.buffers[msg.source], msg,
                                    msg.copy_limit)
@@ -1310,8 +1332,7 @@ class Plane:
         self._select_into(link, t)
         refresh = self.config.routing.summary_refresh
         if refresh > 0:
-            self._seq += 1
-            heapq.heappush(self.refresh_events, (t + refresh, self._seq, link))
+            self.refresh_events.append((t + refresh, link))
         self._start_next(link, t)
 
     def _summary_key(self, link: Link) -> Tuple[int, int, int, int]:
@@ -1352,18 +1373,22 @@ class Plane:
           dst comes back through dst's version (admitted), its refusal
           count (refused) or _offer_inbound (aborted).
 
-        The queue is served on every pass."""
+        The queue is served on every pass.
+
+        `refresh_events` is a FIFO of (time, link). Every refresh is
+        queued at `summary_refresh` after the tick that queues it, and
+        ticks never go back, so its times never decrease and it pops in
+        the order of a heap keyed by time and then push order."""
         events = self.refresh_events
         interval = self.config.routing.summary_refresh
         while events and events[0][0] <= t:
-            _, _, link = heapq.heappop(events)
+            _, link = events.popleft()
             if not link.open:
                 continue
             if link.summary_key != self._summary_key(link):
                 self._select_into(link, t)
             self._start_next(link, t)
-            self._seq += 1
-            heapq.heappush(events, (t + interval, self._seq, link))
+            events.append((t + interval, link))
 
     def _close_link(self, link: Link, t: float) -> None:
         """Close an open link: one of `links`, which holds no other."""
@@ -1502,7 +1527,7 @@ class Plane:
             tokens = msg.copy_limit
             if self.policy.uses_tokens:
                 give, keep = spray_split(entry.tokens)
-                entry.tokens = keep
+                self.buffers[src].set_tokens(entry, keep)
                 tokens = give
             ok, evicted = buffer_admit(self.buffers[dst], msg, tokens)
             if ok:
@@ -1514,7 +1539,8 @@ class Plane:
             else:
                 self.refused[dst] += 1
                 if self.policy.uses_tokens:
-                    entry.tokens += tokens    # failed hand-off returns tokens
+                    # a failed hand-off returns its tokens
+                    self.buffers[src].set_tokens(entry, entry.tokens + tokens)
                 self._note_copy_gone(msg.msg_id)
             # a refusal bumps refused[dst], so the link's next summary
             # refresh offers the copy to dst again; a re-send at once

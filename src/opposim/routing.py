@@ -21,7 +21,7 @@ such history and offers a copy again to a peer that has lost its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from .traffic import Message
 
@@ -49,12 +49,16 @@ class Buffer:
     """Byte-capacity message store with FIFO eviction pressure.
 
     Entries keep insertion (receipt) order; eviction removes the oldest
-    unpinned entries first.
+    unpinned entries first. `sprayable` maps the id of each entry with two
+    or more tokens to the entry: the only copies a spray router may hand
+    to a peer that is not their destination. Admission, removal, eviction
+    and `set_tokens` keep it, so tokens change only through `set_tokens`.
     """
 
     def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
         self.capacity = int(capacity)
         self.entries: Dict[int, BufferEntry] = {}
+        self.sprayable: Dict[int, BufferEntry] = {}
         self.used = 0
         # bumped whenever the set of buffered ids changes; token and pin
         # changes leave it alone
@@ -77,7 +81,16 @@ class Buffer:
         if entry is not None:
             self.used -= entry.message.size
             self.version += 1
+            self.sprayable.pop(msg_id, None)
         return entry
+
+    def set_tokens(self, entry: BufferEntry, tokens: int) -> None:
+        """Give a buffered copy a new token count."""
+        entry.tokens = tokens
+        if tokens >= 2:
+            self.sprayable[entry.message.msg_id] = entry
+        else:
+            self.sprayable.pop(entry.message.msg_id, None)
 
 
 def buffer_admit(buffer: Buffer, message: Message,
@@ -106,9 +119,14 @@ def buffer_admit(buffer: Buffer, message: Message,
         else:
             return False, []    # pinned entries block the remaining space
         for entry in evicted:
-            del buffer.entries[entry.message.msg_id]
+            mid = entry.message.msg_id
+            del buffer.entries[mid]
+            buffer.sprayable.pop(mid, None)
         buffer.used = used
-    buffer.entries[message.msg_id] = BufferEntry(message, tokens)
+    entry = BufferEntry(message, tokens)
+    buffer.entries[message.msg_id] = entry
+    if tokens >= 2:
+        buffer.sprayable[message.msg_id] = entry
     buffer.used += message.size
     buffer.version += 1
     return True, evicted
@@ -137,9 +155,11 @@ class HasView:
 @dataclass(frozen=True)
 class PeerSummary:
     """What one side of a link knows about the other after the (zero-cost)
-    control exchange: peer identity and the message ids it already has."""
+    control exchange: peer identity, the message ids it already has and
+    the ids of every message addressed to it."""
     node_id: int
     has: Container[int]
+    addressed: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -185,10 +205,11 @@ class EpidemicPolicy(RouterPolicy):
     """Everything the peer lacks. A peer that evicted a copy under buffer
     pressure is offered it again; flooding keeps no per-peer history.
 
-    Subclasses change only `_forwards`, the rule for one copy; both
-    entry points apply it. `_forwards` must stay a pure predicate of the
-    entry and the peer view, with no side effect, so that a rule may run
-    its tests in any order and put its cheap ones first."""
+    Subclasses change `_forwards`, the rule for one copy, which both
+    entry points apply; a subclass's `select_transfers` may only narrow
+    the copies it asks the rule about. `_forwards` must stay a pure
+    predicate of the entry and the peer view, with no side effect, so that
+    a rule may run its tests in any order and put its cheap ones first."""
 
     name = "epidemic"
 
@@ -219,6 +240,29 @@ class SprayAndWaitPolicy(EpidemicPolicy):
 
     name = "snw"
     uses_tokens = True
+
+    def select_transfers(self, local, peer):
+        """The epidemic answer under the spray rule, from two small sets
+        instead of the whole buffer. A copy the rule lets go is addressed
+        to the peer, and so among `peer.addressed`, or holds two or more
+        tokens, and so in `local.sprayable`; most copies hold one token
+        and wait for a destination that is not the peer. `_forwards`
+        decides each candidate, and the sort fixes the order, as its keys
+        are unique."""
+        forwards = self._forwards
+        dst = peer.node_id
+        entries = local.entries
+        plans = []
+        for mid in peer.addressed:
+            entry = entries.get(mid)
+            if entry is not None and forwards(entry, peer):
+                plans.append(PlannedSend(mid, True, entry.message.created_at))
+        for entry in local.sprayable.values():
+            m = entry.message
+            if m.destination != dst and forwards(entry, peer):
+                plans.append(PlannedSend(m.msg_id, False, m.created_at))
+        plans.sort(key=PlannedSend.sort_key)
+        return plans
 
     @staticmethod
     def _forwards(entry, peer):

@@ -85,22 +85,38 @@ def recount_planes(sim, t):
     world's associations, and every send's rate from its AP's co-channel
     count and sends. Every send's sender holds its copy, pinned, and
     ap_active has a non-empty entry for exactly the APs with a send. A
-    link whose summary_key is current lacks no offer: a fresh summary
-    exchange, over peer views built here, plans nothing that is not queued
-    on it, pinned at its sender, in flight to its receiver or expired.
-    Each node's cached peer view is its own and reads its live buffer and
-    delivered set."""
+    link whose summary_key is current lacks no offer: the policy's rule,
+    asked about every copy over peer views built here, lets nothing go
+    that is not queued on it, pinned at its sender, in flight to its
+    receiver or expired. Each node's cached peer view is its own, reads its
+    live buffer and delivered set and lists the ids addressed to it; each
+    buffer's sprayable map holds its copies with two or more tokens. Refresh
+    times never decrease, and with refreshes on each open link has exactly
+    one pending."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
     for plane in sim.planes:
         assert len(plane.summaries) == len(plane.buffers)
+        addressed = {}
+        for mid, msg in plane.messages.items():
+            addressed.setdefault(msg.destination, []).append(mid)
         for nid, view in enumerate(plane.summaries):
             assert view.node_id == nid
             assert view.has.buffer is plane.buffers[nid]
             assert view.has.delivered is plane.delivered[nid]
+            assert list(view.addressed) == addressed.get(nid, []), (t, nid)
+        for nid, buf in enumerate(plane.buffers):
+            assert buf.sprayable == {mid: e for mid, e in buf.entries.items()
+                                     if e.tokens >= 2}, (t, nid)
         links = {id(link): link for ends in plane.links
                  for link in ends.values()}.values()
+        times = [time for time, _ in plane.refresh_events]
+        assert times == sorted(times), t
+        if plane.config.routing.summary_refresh > 0:
+            pending = [id(link) for _, link in plane.refresh_events
+                       if link.open]
+            assert sorted(pending) == sorted(id(link) for link in links), t
         assert {(link.ap, link.client) for link in links} == clients
         for link in links:
             assert link.open
@@ -108,16 +124,17 @@ def recount_planes(sim, t):
             assert plane.links[link.client][link.ap] is link
         sends = [link.active for link in links if link.active is not None]
         assert plane.in_flight_to == {(tr.dst, tr.msg.msg_id) for tr in sends}
+        forwards = plane.policy._forwards
         for link in links:
             if link.summary_key != plane._summary_key(link):
                 continue
             for src, dst in ((link.ap, link.client), (link.client, link.ap)):
                 fresh = PeerSummary(dst, HasView(plane.buffers[dst],
-                                                 plane.delivered[dst]))
-                for plan in plane.policy.select_transfers(
-                        plane.buffers[src], fresh):
-                    mid = plan.msg_id
-                    entry = plane.buffers[src].get(mid)
+                                                 plane.delivered[dst]),
+                                    addressed.get(dst, []))
+                for mid, entry in plane.buffers[src].entries.items():
+                    if not forwards(entry, fresh):
+                        continue
                     assert ((src, mid) in link.queued or entry.pinned
                             or (dst, mid) in plane.in_flight_to
                             or entry.message.expired(t)), (t, src, dst, mid)
@@ -559,8 +576,6 @@ class PollingSimulation(Simulation):
 
     def _client_rescan(self, nid, t):
         state = self.radio[nid]
-        if state.phase is not Phase.CLIENT:
-            return
         key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
                state.attached_ap)
         if self.client_scan_key.get(nid) == key:

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
 from opposim.routing import (
-    Buffer, HasView, PeerSummary, RoutingError, buffer_admit, make_policy,
-    spray_split,
+    Buffer, HasView, PeerSummary, PlannedSend, RoutingError, buffer_admit,
+    make_policy, spray_split,
 )
 from opposim.traffic import Message, TrafficConfig
 
@@ -154,14 +155,14 @@ class TestEpidemicSelect:
         m2 = msg(2, dst=11, created=5.0)
         buffer_admit(b, m1, 10)
         buffer_admit(b, m2, 10)
-        plans = EPIDEMIC.select_transfers(b, PeerSummary(11, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(11, frozenset(), [2]))
         assert [p.msg_id for p in plans] == [2, 1]
         assert plans[0].direct and not plans[1].direct
 
     def test_peer_lacking_nothing(self):
         b = Buffer()
         buffer_admit(b, msg(1), 10)
-        peer = PeerSummary(5, frozenset({1}))
+        peer = PeerSummary(5, frozenset({1}), [])
         assert EPIDEMIC.select_transfers(b, peer) == []
 
     def test_flooding_reoffers_evicted_copies(self):
@@ -171,14 +172,14 @@ class TestEpidemicSelect:
         m1 = msg(1, dst=99)
         m1.custodians.update({0, 5})
         buffer_admit(b, m1, 10)
-        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset(), []))
         assert [p.msg_id for p in plans] == [1]
 
     def test_oldest_first_within_class(self):
         b = Buffer()
         for mid, created in ((1, 30.0), (2, 10.0), (3, 20.0)):
             buffer_admit(b, msg(mid, dst=99, created=created), 10)
-        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset()))
+        plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset(), []))
         assert [p.msg_id for p in plans] == [2, 3, 1]
 
 
@@ -194,12 +195,12 @@ class TestSnwSelect:
     def test_single_token_not_offered(self):
         b = Buffer()
         buffer_admit(b, msg(1, dst=99), tokens=1)
-        assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
+        assert SNW.select_transfers(b, PeerSummary(5, frozenset(), [])) == []
 
     def test_single_token_direct_delivery_allowed(self):
         b = Buffer()
         buffer_admit(b, msg(1, dst=5), tokens=1)
-        plans = SNW.select_transfers(b, PeerSummary(5, frozenset()))
+        plans = SNW.select_transfers(b, PeerSummary(5, frozenset(), [1]))
         assert [p.msg_id for p in plans] == [1] and plans[0].direct
 
     def test_seen_peer_not_sprayed(self):
@@ -207,8 +208,9 @@ class TestSnwSelect:
         m = msg(1, dst=99)
         m.custodians.update({0, 5})
         buffer_admit(b, m, tokens=8)
-        assert SNW.select_transfers(b, PeerSummary(5, frozenset())) == []
-        assert len(SNW.select_transfers(b, PeerSummary(6, frozenset()))) == 1
+        assert SNW.select_transfers(b, PeerSummary(5, frozenset(), [])) == []
+        plans = SNW.select_transfers(b, PeerSummary(6, frozenset(), []))
+        assert len(plans) == 1
 
 
 def lookup_first_spray_rule(entry, peer):
@@ -224,7 +226,8 @@ def lookup_first_spray_rule(entry, peer):
 
 def test_spray_rule_order_keeps_the_lookup_first_answers():
     # every combination of destination, tokens, custody and where the peer
-    # holds the id, through both entry points of both spray routers
+    # holds the id, through both entry points of both spray routers, on
+    # one-entry buffers
     peer_id = 5
     for router, to_peer, tokens, custodian, held in itertools.product(
             ("snw", "hrson"), (True, False), (1, 2, 3), (True, False),
@@ -241,7 +244,8 @@ def test_spray_rule_order_keeps_the_lookup_first_answers():
             buffer_admit(peer_buffer, msg(1, dst=m.destination), 1)
         elif held == "delivered":
             delivered.add(1)
-        peer = PeerSummary(peer_id, HasView(peer_buffer, delivered))
+        peer = PeerSummary(peer_id, HasView(peer_buffer, delivered),
+                           [1] if to_peer else [])
         policy = make_policy(router)
         entry = local.get(1)
         want = lookup_first_spray_rule(entry, peer)
@@ -249,6 +253,50 @@ def test_spray_rule_order_keeps_the_lookup_first_answers():
         plans = policy.select_transfers(local, peer)
         assert [(p.msg_id, p.direct) for p in plans] == (
             [(1, to_peer)] if want else []), case
+    # seeded random multi-entry buffers: the plans drawn from the indexes
+    # are the rule asked about every copy, in sort order
+    for router, seed in itertools.product(("snw", "hrson"), range(150)):
+        check_spray_plans_against_full_scan(make_policy(router), seed)
+
+
+def check_spray_plans_against_full_scan(policy, seed):
+    """One random buffer and peer: mixed destinations, 1-4 tokens (some
+    changed after admission), custodians, evictions and removals, and ids
+    held in the peer's buffer or delivered set. Created times repeat, so
+    ties fall to the message id."""
+    rng = random.Random(seed)
+    peer_id = 5
+    local = Buffer(rng.randint(4, 12) * MB)
+    peer_buffer, delivered, addressed = Buffer(), set(), []
+    for mid in range(rng.randint(1, 24)):
+        m = msg(mid, dst=rng.choice((peer_id, peer_id, 7, 99)),
+                size=rng.choice((MB // 2, MB, 2 * MB)),
+                created=float(rng.randint(0, 5)))
+        m.custodians.add(0)
+        if rng.random() < 0.3:
+            m.custodians.add(peer_id)
+        if m.destination == peer_id:
+            addressed.append(mid)
+        buffer_admit(local, m, rng.randint(1, 4))
+        held = rng.random()
+        if held < 0.2:
+            buffer_admit(peer_buffer, msg(mid, dst=m.destination), 1)
+        elif held < 0.35:
+            delivered.add(mid)
+    for entry in list(local.entries.values()):
+        if rng.random() < 0.3:
+            local.set_tokens(entry, rng.randint(1, 4))
+        if rng.random() < 0.1:
+            local.remove(entry.message.msg_id)
+    peer = PeerSummary(peer_id, HasView(peer_buffer, delivered), addressed)
+    going = [e for e in local.entries.values() if policy._forwards(e, peer)]
+    assert going == [e for e in local.entries.values()
+                     if lookup_first_spray_rule(e, peer)]
+    want = sorted((PlannedSend(e.message.msg_id,
+                               e.message.destination == peer_id,
+                               e.message.created_at) for e in going),
+                  key=PlannedSend.sort_key)
+    assert policy.select_transfers(local, peer) == want, (policy.name, seed)
 
 
 class TestPolicies:
@@ -295,6 +343,6 @@ class TestPolicies:
     def test_hrson_forwards_like_snw(self):
         b = Buffer()
         buffer_admit(b, msg(1, dst=99), tokens=4)
-        peer = PeerSummary(5, frozenset())
+        peer = PeerSummary(5, frozenset(), [])
         assert (make_policy("hrson").select_transfers(b, peer)
                 == make_policy("snw").select_transfers(b, peer))
