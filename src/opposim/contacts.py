@@ -62,8 +62,7 @@ class _TracePlane(Plane):
                  buffer_capacity: int):
         config = ScenarioConfig(routing=RoutingConfig(
             buffer_capacity=buffer_capacity, summary_refresh=0.0))
-        super().__init__(config, 0, n_nodes)
-        self.policy = policy
+        super().__init__(config, 0, n_nodes, policy=policy)
         # (ap, client) of an open link -> [bandwidth, end, open contacts]
         self.pipes: Dict[Tuple[int, int], List] = {}
         self.transfers: List[Tuple[int, int, int, float]] = []

@@ -55,8 +55,8 @@ from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, LinkModel,
                     assign_channel, joiner_bandwidth_estimate,
                     member_bandwidth_estimate, should_switch_ap, step_radio)
 from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, BufferEntry, HasView,
-                      PeerSummary, PlannedSend, buffer_admit, make_policy,
-                      spray_split)
+                      PeerSummary, PlannedSend, RouterPolicy, buffer_admit,
+                      make_policy, spray_split)
 from .traffic import Message, TrafficConfig, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
@@ -1182,7 +1182,8 @@ class Plane:
     when an AP's co-channel count changes; to share an AP's bandwidth the
     plane reads only the AP neighbour table the world hands it. A plane
     without a world, as in a contact trace, is driven by its caller and
-    overrides `_settle_ap` to set its own rates.
+    overrides `_settle_ap` to set its own rates; it may bring its own
+    policy instead of the config's router.
 
     A send lives from `_start_next`, which pins the sender's copy and
     enters the send in `in_flight_to` and `ap_active`, to `_release`,
@@ -1195,29 +1196,36 @@ class Plane:
     Each node's peer view (`summaries`, read through `_summary_of`) is
     built once, with the plane. That is exact because the plane never
     rebinds a node's buffer or delivered set, and the view reads both
-    live. The view's `addressed` is the node's list in `addressed`, to
-    which `_inject` appends the id of each message addressed to it."""
+    live. The view's `addressed` is the node's list in `addressed`:
+    `_inject` appends the id of each message addressed to the node, and
+    its first delivery or its expiry takes the id out again, so the list
+    grows with the messages in play, not with the run."""
 
     def __init__(self, config: ScenarioConfig, seed: int, n_nodes: int,
-                 ap_near: Optional[List[Set[int]]] = None):
+                 ap_near: Optional[List[Set[int]]] = None,
+                 policy: Optional[RouterPolicy] = None):
         self.config = config
         self.seed = int(seed)
         self.n_nodes = n_nodes
         self.link_model = config.radio.link
         self.ap_near = ap_near
-        self.policy = make_policy(config.routing.router)
+        self.policy = policy or make_policy(config.routing.router)
         self.collector = MetricsCollector(self.seed)
         self.report: Optional[MetricsReport] = None
         self.rng_traffic = stream_rng(seed, "traffic")
 
         n = n_nodes
-        self.buffers: List[Buffer] = [Buffer(config.routing.buffer_capacity)
-                                      for _ in range(n)]
+        # only the spray routers read a buffer's sprayable list
+        self.buffers: List[Buffer] = [
+            Buffer(config.routing.buffer_capacity, self.policy.uses_tokens)
+            for _ in range(n)]
         self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
-        # destination -> ids of the messages addressed to it, in creation
-        # order; a contact trace may address a node outside the plane,
-        # whose list no view reads
+        # destination -> ids of its messages that are neither delivered
+        # nor expired, in creation order; a contact trace may address a
+        # node outside the plane, whose list no view reads. Lists, not
+        # dicts: each holds a few ids, and a list takes a third of the
+        # memory; a delivery or expiry walks one.
         self.addressed: Dict[int, List[int]] = {nid: [] for nid in range(n)}
         self.summaries: List[PeerSummary] = [
             PeerSummary(nid, HasView(self.buffers[nid], self.delivered[nid]),
@@ -1312,6 +1320,8 @@ class Plane:
                     self.collector.on_copy_removed(holder, mid, msg.expires_at,
                                                    "expired")
             self.holders[mid].clear()
+            if status != "delivered":
+                self.addressed[msg.destination].remove(mid)
             if status == "live":
                 self.msg_status[mid] = "ttl"
                 self.collector.on_message_expired()
@@ -1519,6 +1529,7 @@ class Plane:
             self.delivered[dst].add(msg.msg_id)
             if first and self.msg_status.get(msg.msg_id) == "live":
                 self.msg_status[msg.msg_id] = "delivered"
+                self.addressed[dst].remove(msg.msg_id)
             # sender's job is done; free its copy
             self.buffers[src].remove(msg.msg_id)
             self.holders[msg.msg_id].discard(src)

@@ -20,12 +20,16 @@ such history and offers a copy again to a peer that has lost its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from .traffic import Message
 
 DEFAULT_BUFFER_CAPACITY = 100_000_000  # bytes
+
+# a copy needs this many tokens to spray: half goes to the new custodian
+SPRAY_MIN_TOKENS = 2
 
 
 class RoutingError(RuntimeError):
@@ -49,16 +53,29 @@ class Buffer:
     """Byte-capacity message store with FIFO eviction pressure.
 
     Entries keep insertion (receipt) order; eviction removes the oldest
-    unpinned entries first. `sprayable` maps the id of each entry with two
-    or more tokens to the entry: the only copies a spray router may hand
-    to a peer that is not their destination. Admission, removal, eviction
-    and `set_tokens` keep it, so tokens change only through `set_tokens`.
+    unpinned entries first.
+
+    With `spray_index`, `sprayable` lists each entry with at least
+    SPRAY_MIN_TOKENS tokens, each once and in no particular order: the
+    only copies a spray router may hand to a peer that is not their
+    destination. Admission, removal, eviction and `set_tokens` keep it,
+    so tokens change only through `set_tokens`. A buffer without the
+    index, for a router that ignores tokens, keeps the list empty. It is
+    a list rather than a dict because it holds a few entries and a list
+    takes a third of the memory; a removal walks it.
     """
 
-    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
+    # a plane holds one buffer per node
+    __slots__ = ("capacity", "entries", "sprayable", "_spray_min", "used",
+                 "version")
+
+    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY,
+                 spray_index: bool = True):
         self.capacity = int(capacity)
         self.entries: Dict[int, BufferEntry] = {}
-        self.sprayable: Dict[int, BufferEntry] = {}
+        self.sprayable: List[BufferEntry] = []
+        # no copy holds infinitely many tokens
+        self._spray_min = SPRAY_MIN_TOKENS if spray_index else math.inf
         self.used = 0
         # bumped whenever the set of buffered ids changes; token and pin
         # changes leave it alone
@@ -81,16 +98,23 @@ class Buffer:
         if entry is not None:
             self.used -= entry.message.size
             self.version += 1
-            self.sprayable.pop(msg_id, None)
+            self._unlist(entry)
         return entry
 
     def set_tokens(self, entry: BufferEntry, tokens: int) -> None:
         """Give a buffered copy a new token count."""
+        listed = entry.tokens >= self._spray_min
         entry.tokens = tokens
-        if tokens >= 2:
-            self.sprayable[entry.message.msg_id] = entry
-        else:
-            self.sprayable.pop(entry.message.msg_id, None)
+        if tokens >= self._spray_min:
+            if not listed:
+                self.sprayable.append(entry)
+        elif listed:
+            self.sprayable.remove(entry)
+
+    def _unlist(self, entry: BufferEntry) -> None:
+        """Drop a copy that left the buffer from `sprayable`."""
+        if entry.tokens >= self._spray_min:
+            self.sprayable.remove(entry)
 
 
 def buffer_admit(buffer: Buffer, message: Message,
@@ -119,14 +143,12 @@ def buffer_admit(buffer: Buffer, message: Message,
         else:
             return False, []    # pinned entries block the remaining space
         for entry in evicted:
-            mid = entry.message.msg_id
-            del buffer.entries[mid]
-            buffer.sprayable.pop(mid, None)
+            del buffer.entries[entry.message.msg_id]
+            buffer._unlist(entry)
         buffer.used = used
-    entry = BufferEntry(message, tokens)
+    entry = BufferEntry(message, 0)
     buffer.entries[message.msg_id] = entry
-    if tokens >= 2:
-        buffer.sprayable[message.msg_id] = entry
+    buffer.set_tokens(entry, tokens)
     buffer.used += message.size
     buffer.version += 1
     return True, evicted
@@ -152,11 +174,12 @@ class HasView:
         return msg_id in self.buffer.entries or msg_id in self.delivered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)     # a plane holds one per node
 class PeerSummary:
     """What one side of a link knows about the other after the (zero-cost)
     control exchange: peer identity, the message ids it already has and
-    the ids of every message addressed to it."""
+    the ids of the messages addressed to it that are neither delivered nor
+    expired."""
     node_id: int
     has: Container[int]
     addressed: Sequence[int]
@@ -242,13 +265,14 @@ class SprayAndWaitPolicy(EpidemicPolicy):
     uses_tokens = True
 
     def select_transfers(self, local, peer):
-        """The epidemic answer under the spray rule, from two small sets
+        """The epidemic answer under the spray rule, from two short lists
         instead of the whole buffer. A copy the rule lets go is addressed
-        to the peer, and so among `peer.addressed`, or holds two or more
-        tokens, and so in `local.sprayable`; most copies hold one token
-        and wait for a destination that is not the peer. `_forwards`
-        decides each candidate, and the sort fixes the order, as its keys
-        are unique."""
+        to the peer, and so among `peer.addressed` (a delivered or expired
+        message is not, and the rule refuses it anyway), or holds
+        SPRAY_MIN_TOKENS tokens or more, and so in `local.sprayable`; most
+        copies hold one token and wait for a destination that is not the
+        peer. `_forwards` decides each candidate, and the sort fixes the
+        order, as its keys are unique."""
         forwards = self._forwards
         dst = peer.node_id
         entries = local.entries
@@ -257,7 +281,7 @@ class SprayAndWaitPolicy(EpidemicPolicy):
             entry = entries.get(mid)
             if entry is not None and forwards(entry, peer):
                 plans.append(PlannedSend(mid, True, entry.message.created_at))
-        for entry in local.sprayable.values():
+        for entry in local.sprayable:
             m = entry.message
             if m.destination != dst and forwards(entry, peer):
                 plans.append(PlannedSend(m.msg_id, False, m.created_at))
@@ -272,7 +296,7 @@ class SprayAndWaitPolicy(EpidemicPolicy):
         dst = peer.node_id
         if m.destination == dst:
             return m.msg_id not in peer.has
-        return (entry.tokens >= 2 and dst not in m.custodians
+        return (entry.tokens >= SPRAY_MIN_TOKENS and dst not in m.custodians
                 and m.msg_id not in peer.has)
 
 

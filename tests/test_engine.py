@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from opposim.engine import (
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings
 from opposim.radio import Phase, TimingParams, effective_bandwidth
-from opposim.routing import EpidemicPolicy, HasView, PeerSummary, buffer_admit
+from opposim.routing import (SPRAY_MIN_TOKENS, EpidemicPolicy, HasView,
+                             PeerSummary, buffer_admit)
 from opposim.scenario import load_scenario
 from opposim.traffic import Message, TrafficConfig
 
@@ -89,26 +91,34 @@ def recount_planes(sim, t):
     asked about every copy over peer views built here, lets nothing go
     that is not queued on it, pinned at its sender, in flight to its
     receiver or expired. Each node's cached peer view is its own, reads its
-    live buffer and delivered set and lists the ids addressed to it; each
-    buffer's sprayable map holds its copies with two or more tokens. Refresh
-    times never decrease, and with refreshes on each open link has exactly
-    one pending."""
+    live buffer and delivered set and lists, in creation order, the ids of
+    the messages addressed to it that are neither delivered nor expired;
+    under a spray router each buffer's sprayable list holds its copies with
+    SPRAY_MIN_TOKENS tokens or more, each once, and under epidemic it is
+    empty. Refresh times never decrease, and with refreshes on each open
+    link has exactly one pending."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
     aps = {n for n, st in enumerate(sim.radio) if st.phase is Phase.AP}
     for plane in sim.planes:
         assert len(plane.summaries) == len(plane.buffers)
         addressed = {}
+        unexpired = {mid for _, mid in plane.ttl_events}
         for mid, msg in plane.messages.items():
-            addressed.setdefault(msg.destination, []).append(mid)
+            if mid in unexpired and plane.msg_status[mid] != "delivered":
+                addressed.setdefault(msg.destination, []).append(mid)
         for nid, view in enumerate(plane.summaries):
             assert view.node_id == nid
             assert view.has.buffer is plane.buffers[nid]
             assert view.has.delivered is plane.delivered[nid]
-            assert list(view.addressed) == addressed.get(nid, []), (t, nid)
+            assert view.addressed is plane.addressed[nid]
+            assert view.addressed == addressed.get(nid, []), (t, nid)
+        spray_min = SPRAY_MIN_TOKENS if plane.policy.uses_tokens else math.inf
         for nid, buf in enumerate(plane.buffers):
-            assert buf.sprayable == {mid: e for mid, e in buf.entries.items()
-                                     if e.tokens >= 2}, (t, nid)
+            listed = {id(e) for e in buf.sprayable}
+            assert len(listed) == len(buf.sprayable), (t, nid)
+            assert listed == {id(e) for e in buf.entries.values()
+                              if e.tokens >= spray_min}, (t, nid)
         links = {id(link): link for ends in plane.links
                  for link in ends.values()}.values()
         times = [time for time, _ in plane.refresh_events]

@@ -5,8 +5,8 @@ import pytest
 
 from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
 from opposim.routing import (
-    Buffer, HasView, PeerSummary, PlannedSend, RoutingError, buffer_admit,
-    make_policy, spray_split,
+    SPRAY_MIN_TOKENS, Buffer, HasView, PeerSummary, PlannedSend, RoutingError,
+    buffer_admit, make_policy, spray_split,
 )
 from opposim.traffic import Message, TrafficConfig
 
@@ -78,6 +78,30 @@ class TestBufferAdmit:
         buffer_admit(b, msg(1), 10)
         with pytest.raises(RoutingError):
             buffer_admit(b, msg(1), 10)
+
+    def test_sprayable_lists_copies_that_can_spray(self):
+        b = Buffer(3 * MB)
+        for mid, tokens in ((1, 4), (2, 1), (3, 2)):
+            buffer_admit(b, msg(mid), tokens)
+        assert [e.message.msg_id for e in b.sprayable] == [1, 3]
+        b.set_tokens(b.get(3), 1)
+        b.set_tokens(b.get(2), 2)
+        b.set_tokens(b.get(1), 3)
+        assert [e.message.msg_id for e in b.sprayable] == [1, 2]
+        ok, evicted = buffer_admit(b, msg(4), 1)     # evicts copy 1
+        assert ok and [e.message.msg_id for e in evicted] == [1]
+        b.remove(2)
+        assert b.sprayable == []
+
+    def test_unindexed_buffer_lists_nothing(self):
+        # a router that ignores tokens reads no sprayable list
+        b = Buffer(2 * MB, spray_index=False)
+        buffer_admit(b, msg(1), 10)
+        b.set_tokens(b.get(1), 4)
+        buffer_admit(b, msg(2), 10)
+        buffer_admit(b, msg(3), 10)                  # evicts copy 1
+        b.remove(2)
+        assert b.sprayable == [] and b.ids() == [3]
 
 
 def far_apart(n, traffic=None):
@@ -275,19 +299,24 @@ def check_spray_plans_against_full_scan(policy, seed):
         m.custodians.add(0)
         if rng.random() < 0.3:
             m.custodians.add(peer_id)
-        if m.destination == peer_id:
-            addressed.append(mid)
         buffer_admit(local, m, rng.randint(1, 4))
         held = rng.random()
         if held < 0.2:
             buffer_admit(peer_buffer, msg(mid, dst=m.destination), 1)
         elif held < 0.35:
             delivered.add(mid)
+        # as on a plane, a delivery takes the id off the peer's list
+        if m.destination == peer_id and mid not in delivered:
+            addressed.append(mid)
     for entry in list(local.entries.values()):
         if rng.random() < 0.3:
             local.set_tokens(entry, rng.randint(1, 4))
         if rng.random() < 0.1:
             local.remove(entry.message.msg_id)
+    listed = [id(e) for e in local.sprayable]
+    assert sorted(listed) == sorted(
+        id(e) for e in local.entries.values()
+        if e.tokens >= SPRAY_MIN_TOKENS), seed
     peer = PeerSummary(peer_id, HasView(peer_buffer, delivered), addressed)
     going = [e for e in local.entries.values() if policy._forwards(e, peer)]
     assert going == [e for e in local.entries.values()
