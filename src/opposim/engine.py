@@ -1294,7 +1294,8 @@ class Plane:
         heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
         if ok:
             self.holders[msg.msg_id].add(msg.source)
-            self.collector.on_copy_admitted(msg.source, msg.msg_id, t)
+            self.collector.on_copy_admitted(
+                self.buffers[msg.source].get(msg.msg_id), t)
             self._handle_evictions(msg.source, evicted, t)
             self._offer_new_message(msg.source, msg, t)
         else:
@@ -1317,7 +1318,7 @@ class Plane:
             for holder in sorted(self.holders[mid]):
                 entry = self.buffers[holder].remove(mid)
                 if entry is not None:
-                    self.collector.on_copy_removed(holder, mid, msg.expires_at,
+                    self.collector.on_copy_removed(entry, msg.expires_at,
                                                    "expired")
             self.holders[mid].clear()
             if status != "delivered":
@@ -1533,7 +1534,7 @@ class Plane:
             # sender's job is done; free its copy
             self.buffers[src].remove(msg.msg_id)
             self.holders[msg.msg_id].discard(src)
-            self.collector.on_copy_removed(src, msg.msg_id, now, "delivered")
+            self.collector.on_copy_removed(entry, now, "delivered")
         else:
             tokens = msg.copy_limit
             if self.policy.uses_tokens:
@@ -1544,7 +1545,8 @@ class Plane:
             if ok:
                 msg.custodians.add(dst)
                 self.holders[msg.msg_id].add(dst)
-                self.collector.on_copy_admitted(dst, msg.msg_id, now)
+                self.collector.on_copy_admitted(
+                    self.buffers[dst].get(msg.msg_id), now)
                 self._handle_evictions(dst, evicted, now)
                 self._offer_new_message(dst, msg, now)
             else:
@@ -1579,7 +1581,7 @@ class Plane:
                 self.tokens_evicted[mid] = (self.tokens_evicted.get(mid, 0)
                                             + entry.tokens)
             self.holders[mid].discard(nid)
-            self.collector.on_copy_removed(nid, mid, now, "evicted")
+            self.collector.on_copy_removed(entry, now, "evicted")
             self._note_copy_gone(mid)
 
     def _note_copy_gone(self, mid: int) -> None:

@@ -22,7 +22,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 
 class MetricsError(RuntimeError):
@@ -96,7 +96,7 @@ class MetricsCollector:
         self.evicted_copies = 0
         self.expired_copies = 0
         self.residencies: List[float] = []
-        self._open: Dict[Tuple[int, int], float] = {}   # (node, msg) -> admit time
+        self._open: Dict[Hashable, float] = {}          # copy -> admit time
 
     # -- message lifecycle ---------------------------------------------------
 
@@ -128,12 +128,14 @@ class MetricsCollector:
 
     # -- buffer custody --------------------------------------------------------
 
-    def on_copy_admitted(self, node: int, msg_id: int, now: float) -> None:
-        self._open[(node, msg_id)] = now
+    def on_copy_admitted(self, copy: Hashable, now: float) -> None:
+        """A copy enters a buffer. `copy` names it until it leaves; the
+        engine passes the copy's buffer entry, which exists anyway, so a
+        run builds no key per copy."""
+        self._open[copy] = now
 
-    def on_copy_removed(self, node: int, msg_id: int, now: float,
-                        kind: str) -> None:
-        start = self._open.pop((node, msg_id), None)
+    def on_copy_removed(self, copy: Hashable, now: float, kind: str) -> None:
+        start = self._open.pop(copy, None)
         if start is None:
             return
         self.residencies.append(now - start)

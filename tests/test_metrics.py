@@ -73,16 +73,17 @@ class TestBufferTime:
 
     def test_collector_episodes(self):
         c = MetricsCollector()
-        c.on_copy_admitted(1, 10, 0.0)
-        c.on_copy_admitted(2, 10, 10.0)
-        c.on_copy_removed(1, 10, 50.0, "delivered")
-        c.on_copy_removed(2, 10, 86410.0, "expired")
+        # any hashable names a copy; the engine passes its buffer entry
+        c.on_copy_admitted((1, 10), 0.0)
+        c.on_copy_admitted((2, 10), 10.0)
+        c.on_copy_removed((1, 10), 50.0, "delivered")
+        c.on_copy_removed((2, 10), 86410.0, "expired")
         assert sorted(c.residencies) == [50.0, 86400.0]
         assert c.expired_copies == 1
 
     def test_teardown_closes_open_copies(self):
         c = MetricsCollector()
-        c.on_copy_admitted(1, 10, 100.0)
+        c.on_copy_admitted((1, 10), 100.0)
         c.close_open_copies(1100.0)
         assert c.residencies == [1000.0]
         c.close_open_copies(2000.0)   # idempotent once drained
