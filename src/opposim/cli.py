@@ -18,8 +18,10 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .engine import (ConfigError, SWEEP_PARAMETERS, run, run_batch, sweep)
+from .engine import ConfigError, SWEEP_PARAMETERS, run_batch, sweep
+from .map_graph import MapError
 from .metrics import (aggregate, render_sweep_csv, write_reports)
+from .mobility import MobilityError
 from .scenario import PRESET_NAMES, load_scenario
 
 
@@ -46,37 +48,55 @@ def _add_seeds(p: argparse.ArgumentParser) -> None:
                    help="parallel worker processes (default: CPU count)")
 
 
+def _tokens(text: str) -> List[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _seed_list(args) -> List[int]:
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",") if s.strip()]
+        seeds = []
+        for tok in _tokens(args.seeds):
+            try:
+                seeds.append(int(tok))
+            except ValueError:
+                raise ConfigError(f"bad seed {tok!r} in --seeds") from None
+        return seeds
     runs = args.runs if args.runs is not None else 1
     if runs < 1:
         raise ConfigError("--runs must be at least 1")
     return list(range(args.base_seed, args.base_seed + runs))
 
 
+_VALUE_FORMS = {"copies": "an integer", "ttl": "hours",
+                "traffic_interval": "LO-HI in seconds",
+                "homes": "OFFICES or OFFICES:EVENING_SPOTS"}
+
+
+def _parse_sweep_value(param: str, tok: str):
+    if param == "copies":
+        return int(tok)
+    if param == "ttl":
+        return float(tok) * 3600.0              # given in hours
+    if param == "traffic_interval":
+        lo, hi = tok.split("-")
+        return (float(lo), float(hi))
+    if ":" in tok:                              # homes
+        offices, evening = tok.split(":")
+        return (int(offices), int(evening))
+    offices = int(tok)
+    return (offices, max(1, offices // 5))
+
+
 def _parse_sweep_values(param: str, text: str) -> List:
+    if param not in _VALUE_FORMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}")
     values: List = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if param == "copies":
-            values.append(int(tok))
-        elif param == "ttl":
-            values.append(float(tok) * 3600.0)   # given in hours
-        elif param == "traffic_interval":
-            lo, hi = tok.split("-")
-            values.append((float(lo), float(hi)))
-        elif param == "homes":
-            if ":" in tok:
-                offices, evening = tok.split(":")
-                values.append((int(offices), int(evening)))
-            else:
-                offices = int(tok)
-                values.append((offices, max(1, offices // 5)))
-        else:
-            raise ConfigError(f"unknown sweep parameter {param!r}")
+    for tok in _tokens(text):
+        try:
+            values.append(_parse_sweep_value(param, tok))
+        except ValueError:
+            raise ConfigError(f"bad {param} value {tok!r}: expected "
+                              f"{_VALUE_FORMS[param]}") from None
     return values
 
 
@@ -139,7 +159,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{config.duration:g} s, router={config.routing.router}")
             return 0
         if args.command == "run":
-            report = run(config, args.seed)
+            # through run_batch, so that an error names the seed
+            report = run_batch(config, [args.seed], workers=1)[0]
             _print_summary(f"run seed={args.seed}", [report])
             if args.out:
                 write_reports([report], args.out)
@@ -171,10 +192,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with open(path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(render_sweep_csv(args.param, labeled))
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, MobilityError, MapError, OSError) as exc:
+        # bad settings, a map or population they cannot build, and
+        # unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

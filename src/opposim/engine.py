@@ -49,7 +49,7 @@ from .map_graph import (PoiKind, SegmentLayout, parse_map, place_pois,
                         synth_map)
 from .metrics import MetricsCollector, MetricsReport
 from .mobility import (DAY, MobilityError, MobilityModel, MobilitySettings,
-                       build_profiles)
+                       Mode, build_profiles)
 from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, LinkModel,
                     RadioState, TimingParams, VisibleAp, ap_due_retirement,
                     assign_channel, joiner_bandwidth_estimate,
@@ -62,6 +62,8 @@ from .traffic import Message, TrafficConfig, make_message, next_creation
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
                "policy": 5}
 _LINKED = (AP, CLIENT)   # the phases that hold links
+_MOVING = Mode.MOVING
+_EAGER = -math.inf       # the check time of a node stepped every tick
 
 
 class ConfigError(ValueError):
@@ -380,6 +382,12 @@ class Simulation:
         self.node_cell: List[Tuple[int, int]] = [(-1, -1)] * n
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
         self.moving: Set[int] = set()
+        # a free mover is stepped only from its check time on (see
+        # _mobility_step): check_at[nid] is that time, _EAGER for the nodes
+        # stepped every tick, and lazy_count[cell] the movers skipped in a
+        # cell
+        self.check_at: List[float] = [_EAGER] * n
+        self.lazy_count: Dict[Tuple[int, int], int] = {}
         self.client_scan_key: Dict[int, Tuple] = {}
         # a CLIENT whose rescan found nothing changed sleeps on the cells
         # of its ring: asleep[nid] is its token (poll time, epoch), and
@@ -603,9 +611,11 @@ class Simulation:
                 plane._refresh_step(t)
                 plane._transfer_step(t, (n + 1) * tick)
             if t >= self._next_audit:
-                # the auditors see dormant nodes as the live loop has them
+                # the auditors see dormant nodes and skipped movers as the
+                # live loop has them
                 for nid in self.dormant:
                     self._catch_up(nid, n)
+                self._bring_lazy_up(t)
             while t >= self._next_audit:
                 for aud in self.auditors:
                     aud(self, t)
@@ -614,6 +624,7 @@ class Simulation:
             self.clock = n * tick
         for nid in list(self.dormant):
             self._wake(nid, n - 1)
+        self._bring_lazy_up(t)
         for plane in planes:
             plane.report = plane._finalize(end)
         return planes[0].report
@@ -643,6 +654,41 @@ class Simulation:
     # -- mobility ------------------------------------------------------------------
 
     def _mobility_step(self, t: float) -> None:
+        """Mobility wakes due by tick t, then a step of every mover.
+
+        A free mover, one with no link (neither AP nor CLIENT) that moves
+        inside its cell outside every dormant ring, only moves and bumps
+        its cell: `_apply_move` has no link of it to check, no AP
+        neighbours to settle and no dormant node to wake. A free walker or
+        driver (mode MOVING) whose step bumped its cell is then skipped
+        until its check time, `Leg.exit_time`, the earliest time its leg
+        segment can leave the cell or end; at the first tick from then on
+        it is stepped as every tick, so `Polyline.at` still decides its
+        cell. Bus riders and linked movers are stepped every tick. The
+        reports are those of stepping every mover every tick:
+
+        - A skipped mover's cell stays exact. Its position is stale, and
+          is brought up to the tick where it is read: at its own scan ends
+          (`_phase_event`), in `_finish_connect`, before the auditors run
+          and at the end of the run. No other node reads it: scans and
+          link checks read APs and clients, and `_resettle_neighborhood`
+          keeps only busy APs of the neighbours it lists.
+        - Its cell is not bumped while it is skipped, where every tick
+          bumped it. `cellver` is read only through a client's scan key,
+          and `_rescan_finds_change` counts a cell that holds a skipped
+          mover as changed: it was bumped at this very tick, by the step
+          that armed the mover or by a skipped one. A mover leaves the
+          skipped set with a bump of its cell: the step at its check
+          time, `_apply_move` at its mobility wake (its stale position
+          lies before its leg's end) or a move, `_ap_created`, and
+          `_finish_connect`. So each interval between two scans sees a
+          change of the cell, or the skipped mover at its end, exactly
+          when the per-tick bumps changed the cell in it.
+        - No client sleeps on a cell that holds a skipped mover: the bump
+          that arms a mover wakes the cell's sleepers, and no client goes
+          to sleep on a changed cell. So the bumps left out wake no one.
+        - A skipped mover enters no dormant ring, since it stays in its
+          cell, and no node goes dormant with it in its ring."""
         model = self.model
         events = self.mobility_events
         while events and events[0][0] <= t:
@@ -662,30 +708,74 @@ class Simulation:
             self._apply_move(nid, model.position(nid, t), t)
         if not self.moving:
             return
-        # A node with no link (neither AP nor CLIENT) that moves inside its
-        # cell, outside every dormant ring, only moves and bumps its cell:
-        # `_apply_move` has no link of it to check, no AP neighbours to
-        # settle and no dormant node to wake.
         pos = self.pos
         node_cell = self.node_cell
         radio = self.radio
         size = self.cell_size
         dormant_on = self.dormant_on
+        check_at = self.check_at
         for nid in list(self.moving):
+            if check_at[nid] > t:
+                continue
             newpos = model.position(nid, t)
             cell = node_cell[nid]
-            if (radio[nid].phase not in _LINKED
-                    and cell not in dormant_on
+            free = radio[nid].phase not in _LINKED
+            if (free and cell not in dormant_on
                     and int(newpos[0] // size) == cell[0]
                     and int(newpos[1] // size) == cell[1]):
                 if newpos != pos[nid]:
                     pos[nid] = newpos
                     self._bump_cell(cell)
+                    self._arm(nid, t)
             else:
+                # a free node is armed here only if it moved: it changed
+                # cell, or moved in a dormant ring and woke its nodes; one
+                # that did not move is still in the ring
                 self._apply_move(nid, newpos, t)
+                if free and node_cell[nid] not in dormant_on:
+                    self._arm(nid, t)
+
+    def _arm(self, nid: int, t: float) -> None:
+        """Free mover nid was stepped at tick t with a bump of its cell: a
+        walker or driver is skipped until its check time, if that lies
+        past the next tick (see `_mobility_step`)."""
+        state = self.model.nodes[nid]
+        if state.mode is not _MOVING:
+            return
+        cell = self.node_cell[nid]
+        until = state.leg.exit_time(t, cell, self.cell_size)
+        if until > t + self.config.tick:
+            if self.check_at[nid] == _EAGER:
+                self.lazy_count[cell] = self.lazy_count.get(cell, 0) + 1
+            self.check_at[nid] = until
+        elif self.check_at[nid] != _EAGER:
+            self._unarm(nid)
+
+    def _unarm(self, nid: int) -> None:
+        """Skipped mover nid is stepped every tick again."""
+        self.check_at[nid] = _EAGER
+        cell = self.node_cell[nid]
+        left = self.lazy_count[cell] - 1
+        if left:
+            self.lazy_count[cell] = left
+        else:
+            del self.lazy_count[cell]
+
+    def _bring_up(self, nid: int, t: float) -> None:
+        """Skipped mover nid's position at tick t, where it is read."""
+        self.pos[nid] = self.model.position(nid, t)
+
+    def _bring_lazy_up(self, t: float) -> None:
+        """Every skipped mover's position at tick t."""
+        check_at = self.check_at
+        for nid in self.moving:
+            if check_at[nid] != _EAGER:
+                self._bring_up(nid, t)
 
     def _apply_move(self, nid: int, newpos: Tuple[float, float],
                     t: float) -> None:
+        if self.check_at[nid] != _EAGER:
+            self._unarm(nid)
         if newpos == self.pos[nid]:
             return
         old_cell = self.node_cell[nid]
@@ -774,16 +864,24 @@ class Simulation:
         if phase is CONNECTING:
             self._finish_connect(nid, t)
             return
-        visible = [] if phase is RESTING else self._visible_aps(nid)
+        if phase is RESTING:
+            visible = []
+        else:
+            if self.check_at[nid] != _EAGER:
+                self._bring_up(nid, t)
+            visible = self._visible_aps(nid)
         if self._timer_step(nid, state, visible, t):
             self._ap_created(nid, t)
 
     def _ap_created(self, nid: int, t: float) -> None:
-        """nid takes the AP role and joins the world's APs. No AP is in
-        range of it: `step_radio` makes a node an AP only when the
-        `_visible_aps` that `_phase_event` has just called found none, so
-        its `ap_near` stays empty and no other AP's rate changes."""
+        """nid takes the AP role and joins the world's APs; a skipped
+        mover is stepped every tick from now on. No AP is in range of it:
+        `step_radio` makes a node an AP only when the `_visible_aps` that
+        `_phase_event` has just called found none, so its `ap_near` stays
+        empty and no other AP's rate changes."""
         self._take_ap_role(nid, self.radio[nid], t)
+        if self.check_at[nid] != _EAGER:
+            self._unarm(nid)
         cell = self.node_cell[nid]
         self.ap_grid.setdefault(cell, {})[nid] = None
         self._bump_cell(cell)
@@ -1045,7 +1143,9 @@ class Simulation:
     def _finish_connect(self, nid: int, t: float) -> None:
         """CONNECTING nid attaches to its target if that is still an AP in
         range, else scans again. Every entry into CONNECTING sets the
-        target (`step_radio`, `_client_rescan_result`)."""
+        target (`step_radio`, `_client_rescan_result`). A skipped mover
+        that attaches is stepped every tick from now on, and bumps its
+        cell as it leaves the skipped set (see `_mobility_step`)."""
         state = self.radio[nid]
         target = state.connect_target
         state.connect_target = None
@@ -1053,6 +1153,8 @@ class Simulation:
         r2 = self.link_model.range ** 2
         ok = tstate.phase is AP
         if ok:
+            if self.check_at[nid] != _EAGER:
+                self._bring_up(nid, t)
             tx, ty = self.pos[target]
             x, y = self.pos[nid]
             ok = (tx - x) ** 2 + (ty - y) ** 2 <= r2
@@ -1064,6 +1166,9 @@ class Simulation:
         tstate.clients[nid] = None
         tstate.last_client_change = t
         self._bump_cell(self.node_cell[target])
+        if self.check_at[nid] != _EAGER:
+            self._unarm(nid)
+            self._bump_cell(self.node_cell[nid])
         self.client_scan_key.pop(nid, None)
         self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
         for plane in self.planes:
@@ -1122,17 +1227,28 @@ class Simulation:
         nid is a CLIENT: rescan events are pushed only for a CLIENT, and a
         CLIENT leaves that phase only through `_detach_client`, which bumps
         its epoch and so voids them."""
-        state = self.radio[nid]
         ring = _ring(*self.node_cell[nid])
-        key = (*map(self.cellver.get, ring), state.attached_ap)
-        if self.client_scan_key.get(nid) == key:
+        if not self._rescan_finds_change(nid, ring):
             token = (t, self.epoch[nid])
             self.asleep[nid] = token
             for cell in ring:
                 self.watchers.setdefault(cell, {})[nid] = token
             return
-        self.client_scan_key[nid] = key
         self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
+
+    def _rescan_finds_change(self, nid: int, ring) -> bool:
+        """Whether CLIENT nid's ring changed since its last background
+        scan, which then records the ring's new scan key: the versions of
+        its nine cells and nid's AP. A cell that holds a skipped mover
+        counts as changed, as stepping that mover every tick bumped it
+        (see `_mobility_step`)."""
+        key = (*map(self.cellver.get, ring), self.radio[nid].attached_ap)
+        lazy = self.lazy_count
+        if (self.client_scan_key.get(nid) == key
+                and (not lazy or lazy.keys().isdisjoint(ring))):
+            return False
+        self.client_scan_key[nid] = key
+        return True
 
     def _client_rescan_result(self, nid: int, t: float) -> None:
         """A CLIENT's background scan ends: it moves to a visible AP that
@@ -1246,7 +1362,7 @@ class Plane:
         # message bookkeeping
         self.messages: Dict[int, Message] = {}
         self.msg_status: Dict[int, str] = {}    # live | delivered | ttl | extinct
-        self.holders: Dict[int, Set[int]] = {}
+        self.holders: Dict[int, Set[int]] = {}  # until the message expires
         self.tokens_evicted: Dict[int, int] = {}  # spray tokens lost per msg
         self.next_msg_id = 0
         self.next_create: Optional[float] = next_creation(
@@ -1304,6 +1420,9 @@ class Plane:
     # -- TTL ---------------------------------------------------------------------
 
     def _expire_messages(self, t: float) -> None:
+        """Messages past their TTL end: their sends are aborted and every
+        copy is dropped. Nothing reads a message's holders or custodians
+        after that, as no copy of it can come back, so both go."""
         while self.ttl_events and self.ttl_events[0][0] < t:
             _, mid = heapq.heappop(self.ttl_events)
             msg = self.messages[mid]       # messages are never deleted
@@ -1320,7 +1439,8 @@ class Plane:
                 if entry is not None:
                     self.collector.on_copy_removed(entry, msg.expires_at,
                                                    "expired")
-            self.holders[mid].clear()
+            del self.holders[mid]
+            msg.custodians.clear()
             if status != "delivered":
                 self.addressed[msg.destination].remove(mid)
             if status == "live":

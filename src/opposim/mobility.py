@@ -25,6 +25,9 @@ from .map_graph import (PoiKind, PointOfInterest, RoadGraph,
 
 DAY = 86400.0
 WORK_DEPARTURE = 8 * 3600.0   # nodes leave their houses at 08:00
+# metres kept clear of a grid cell's edges by `Leg.exit_time`: far above
+# the rounding of positions and times on maps of some kilometres
+CELL_MARGIN = 1e-6
 
 
 class MobilityError(ValueError):
@@ -338,6 +341,31 @@ class Leg:
 
     def at(self, t: float) -> Tuple[float, float]:
         return self.line.at((t - self.start) * self.speed)
+
+    def exit_time(self, now: float, cell: Tuple[int, int],
+                  size: float) -> float:
+        """A time before which `at` stays in `cell` of the square grid of
+        side `size`, from `now` on; `at(now)` lies in the cell.
+
+        It is the moment the current segment of the line ends or comes
+        within `CELL_MARGIN` metres of an edge of the cell it runs toward,
+        less that margin again. The margins cover the rounding of `at`
+        and of this arithmetic: at every time before the answer, `at`
+        stays on that segment and `int(x // size)` names the cell."""
+        line = self.line
+        cum = line.cum
+        i = bisect_right(cum, (now - self.start) * self.speed) - 1
+        if not 0 <= i < len(cum) - 1:
+            return now
+        (ax, ay), (bx, by) = line.points[i], line.points[i + 1]
+        f = 1.0
+        for a, b, c in ((ax, bx, cell[0]), (ay, by, cell[1])):
+            if b > a:
+                f = min(f, ((c + 1) * size - CELL_MARGIN - a) / (b - a))
+            elif b < a:
+                f = min(f, (c * size + CELL_MARGIN - a) / (b - a))
+        s = cum[i] + f * (cum[i + 1] - cum[i]) - CELL_MARGIN
+        return self.start + s / self.speed
 
 
 class NodeMobility:

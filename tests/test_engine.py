@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import heapq
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from opposim.engine import (
     AuditError, ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
-    ScenarioConfig, Simulation, _co_channel_count, _ring, apply_sweep_value,
-    run, run_batch, stream_rng, sweep,
+    ScenarioConfig, Simulation, _co_channel_count, _ring, _tick_index,
+    apply_sweep_value, run, run_batch, stream_rng, sweep,
 )
 from opposim.metrics import render_runs_csv
-from opposim.mobility import MobilitySettings
+from opposim.mobility import MobilitySettings, Mode
 from opposim.radio import Phase, TimingParams, effective_bandwidth
 from opposim.routing import (SPRAY_MIN_TOKENS, EpidemicPolicy, HasView,
                              PeerSummary, buffer_admit)
@@ -179,7 +180,8 @@ def recount_world(sim, t):
     node has a rescan event or a current token. A dormant node has no
     other node in its ring, no live radio event and no link on any plane,
     and is registered on exactly the nine cells of its ring; every other
-    node that does not sleep has a live radio event."""
+    node that does not sleep has a live radio event. The skipped movers
+    pass `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
@@ -217,6 +219,33 @@ def recount_world(sim, t):
         assert {c for c, b in sim.dormant_on.items() if nid in b} == set(ring)
     assert all(b and set(b) <= set(sim.dormant)
                for b in sim.dormant_on.values())
+    recount_lazy(sim, t)
+
+
+def recount_lazy(sim, t):
+    """Auditor: a skipped mover is a moving walker or driver with no link,
+    outside every dormant ring, with a check time ahead, in the cell of
+    its position; the skipped movers per cell are those counted, and no
+    client sleeps on their cells."""
+    size = sim.cell_size
+    lazy = {}
+    for nid, until in enumerate(sim.check_at):
+        if until == -math.inf:
+            continue
+        assert nid in sim.moving and until > t
+        assert sim.radio[nid].phase not in (Phase.AP, Phase.CLIENT)
+        assert sim.model.nodes[nid].mode is Mode.MOVING
+        cell = sim.node_cell[nid]
+        assert cell not in sim.dormant_on
+        x, y = sim.model.position(nid, t)
+        assert sim.pos[nid] == (x, y)
+        assert cell == (int(x // size), int(y // size))
+        lazy[cell] = lazy.get(cell, 0) + 1
+    assert sim.lazy_count == lazy
+    for cell in lazy:
+        for nid, token in sim.watchers.get(cell, {}).items():
+            assert not (sim.asleep[nid] == token
+                        and token[1] == sim.epoch[nid]), (t, cell, nid)
 
 
 class TestScriptedTwoNode:
@@ -525,11 +554,13 @@ class TestEngineInvariants:
             assert plane.report.evicted_copies > 0
 
     def test_world_structures_match_a_recount(self):
-        # grids, cells, rescan sleepers and dormant nodes against a recount
-        # every 2 s through the night and the 08:00 commute on the city map
+        # grids, cells, rescan sleepers, dormant nodes and skipped movers
+        # against a recount every 2 s through the night and the 08:00
+        # commute on the city map
         cfg = load_scenario("scenario4", router="hrson", nodes=80,
                             duration=36000.0)
         seen = []
+        skipped = []
 
         def count(sim, t):
             clients = [n for n, st in enumerate(sim.radio)
@@ -540,6 +571,7 @@ class TestEngineInvariants:
                               if sim.radio[n].phase is Phase.AP)
             seen.append((asleep, len(clients) - asleep, len(sim.moving),
                          len(sim.dormant), dormant_aps))
+            skipped.append(sum(sim.lazy_count.values()))
 
         sim = Simulation(cfg, seed=3, auditors=[recount_world, count],
                          audit_interval=2.0)
@@ -554,6 +586,24 @@ class TestEngineInvariants:
         assert any(d and m for _, _, m, d, _ in seen)
         assert max(aps for _, _, _, _, aps in seen) > 0
         assert not sim.dormant            # the end of the run wakes them
+        # walkers were skipped between their cell crossings
+        assert max(skipped) > 5
+
+    def test_ended_messages_keep_no_holders_or_custodians(self):
+        # a message that has expired has no copy left anywhere, so its
+        # holder set and its custodians go with it; a multi-day run then
+        # keeps per-message state only for the messages in play
+        cfg = load_scenario("desk", router="snw", duration=86400.0,
+                            overrides=["traffic.ttl=3000"])
+        sim = Simulation(cfg, 1000)
+        sim.run()
+        plane = sim.planes[0]
+        pending = {mid for _, mid in plane.ttl_events}
+        ended = [m for mid, m in plane.messages.items() if mid not in pending]
+        assert len(ended) > 200
+        assert not [m.msg_id for m in ended if m.msg_id in plane.holders]
+        assert not [m.msg_id for m in ended if m.custodians]
+        assert all(mid in plane.holders for mid in pending)
 
     def test_desk_day_completes_quickly(self):
         import time
@@ -585,14 +635,10 @@ class PollingSimulation(Simulation):
     `client_rescan` later. It never sleeps, so nothing wakes it."""
 
     def _client_rescan(self, nid, t):
-        state = self.radio[nid]
-        key = (*map(self.cellver.get, _ring(*self.node_cell[nid])),
-               state.attached_ap)
-        if self.client_scan_key.get(nid) == key:
+        if not self._rescan_finds_change(nid, _ring(*self.node_cell[nid])):
             self._push_radio(t + self.config.radio.client_rescan, nid,
                              "rescan")
             return
-        self.client_scan_key[nid] = key
         self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
 
 
@@ -719,48 +765,53 @@ def fixed_gate_world(cls):
                scripted_moves=moves)
 
 
-def preset_world(cls, preset, router, seed, duration, overrides):
-    kw = {"nodes": 80} if preset == "scenario4" else {}
+def preset_world(cls, preset, router, seed, duration, overrides, nodes=80):
+    kw = {"nodes": nodes} if preset == "scenario4" else {}
     cfg = load_scenario(preset, router=router, duration=duration,
                         overrides=overrides, **kw)
     return cls(cfg, seed)
 
 
+# worlds that hold sleeping clients, dormant APs, or both: the client
+# rescan cases, other ticks and radio times, and scripted static nodes
+WORLD_CASES = [
+    # the client rescan cases above
+    (preset_world, ("desk", "hrson", 48, 50000.0,
+                    ["radio.client_rescan=13.3", "radio.connect_time=0",
+                     "radio.ap_time=0"])),
+    (preset_world, ("desk", "hrson", 53, 36000.0,
+                    ["engine.tick=0.25", "radio.client_rescan=29"])),
+    (preset_world, ("desk", "snw", 34, 50000.0,
+                    ["radio.client_rescan=0.9", "radio.range=30"])),
+    (preset_world, ("scenario4", "epidemic", 3, 36000.0,
+                    ["engine.tick=0.3", "radio.client_rescan=7.5"])),
+    # a tick off the 1 s grid; zero AP and connect times, which push
+    # events for the current tick; an idle timeout off the tick grid
+    (preset_world, ("scenario4", "hrson", 3, 36000.0,
+                    ["engine.tick=0.3"])),
+    (preset_world, ("scenario4", "hrson", 8, 36000.0,
+                    ["radio.ap_time=0", "radio.connect_time=0"])),
+    (preset_world, ("desk", "hrson", 5, 50000.0,
+                    ["radio.ap_idle_timeout=37.7"])),
+    (fixed_gate_world, ()),
+    # nodes alone at home cycle in step from their staggered start;
+    # with a 55 s idle timeout some end a scan on the 08:00 tick at
+    # which they leave home, and that scan must find the gate closed
+    (preset_world, ("scenario4", "hrson", 1, 29000.0,
+                    ["radio.ap_idle_timeout=55"])),
+    # other cycle shapes: an AP retired at its term before its idle
+    # deadline, and a scan that ends on the tick it starts
+    (preset_world, ("desk", "hrson", 9, 50000.0,
+                    ["radio.ap_max_duration=40"])),
+    (preset_world, ("scenario4", "hrson", 2, 36000.0,
+                    ["radio.scan_time=0", "radio.rest_time=3"])),
+]
+
+
 class TestDormantAps:
     """Dormant APs give the reports and the world of APs that never sleep."""
 
-    @pytest.mark.parametrize("world,args", [
-        # the client rescan cases above
-        (preset_world, ("desk", "hrson", 48, 50000.0,
-                        ["radio.client_rescan=13.3", "radio.connect_time=0",
-                         "radio.ap_time=0"])),
-        (preset_world, ("desk", "hrson", 53, 36000.0,
-                        ["engine.tick=0.25", "radio.client_rescan=29"])),
-        (preset_world, ("desk", "snw", 34, 50000.0,
-                        ["radio.client_rescan=0.9", "radio.range=30"])),
-        (preset_world, ("scenario4", "epidemic", 3, 36000.0,
-                        ["engine.tick=0.3", "radio.client_rescan=7.5"])),
-        # a tick off the 1 s grid; zero AP and connect times, which push
-        # events for the current tick; an idle timeout off the tick grid
-        (preset_world, ("scenario4", "hrson", 3, 36000.0,
-                        ["engine.tick=0.3"])),
-        (preset_world, ("scenario4", "hrson", 8, 36000.0,
-                        ["radio.ap_time=0", "radio.connect_time=0"])),
-        (preset_world, ("desk", "hrson", 5, 50000.0,
-                        ["radio.ap_idle_timeout=37.7"])),
-        (fixed_gate_world, ()),
-        # nodes alone at home cycle in step from their staggered start;
-        # with a 55 s idle timeout some end a scan on the 08:00 tick at
-        # which they leave home, and that scan must find the gate closed
-        (preset_world, ("scenario4", "hrson", 1, 29000.0,
-                        ["radio.ap_idle_timeout=55"])),
-        # other cycle shapes: an AP retired at its term before its idle
-        # deadline, and a scan that ends on the tick it starts
-        (preset_world, ("desk", "hrson", 9, 50000.0,
-                        ["radio.ap_max_duration=40"])),
-        (preset_world, ("scenario4", "hrson", 2, 36000.0,
-                        ["radio.scan_time=0", "radio.rest_time=3"])),
-    ])
+    @pytest.mark.parametrize("world,args", WORLD_CASES)
     def test_reports_and_world_equal_awake_aps(self, world, args):
         sim = world(CountingSimulation, *args)
         awake = world(AwakeSimulation, *args)
@@ -850,6 +901,87 @@ class TestDormantAps:
         assert seen[136.0][0] == [0, 3] and seen[268.0][0] == [3]
         assert seen[137.0][1][0] == (Phase.CONNECTING, 1)
         assert seen[269.0][1][3] == (Phase.CONNECTING, 1)
+
+
+class EagerSimulation(Simulation):
+    """The world that steps every mover at every tick, the reference for
+    skipping free movers until their check times: no position goes stale,
+    and a moving node bumps its cell at each tick."""
+
+    def _mobility_step(self, t):
+        model = self.model
+        events = self.mobility_events
+        while events and events[0][0] <= t:
+            _, nid = heapq.heappop(events)
+            if nid in self.dormant:
+                self._wake(nid, _tick_index(t, self.config.tick) - 1)
+            nxt, extras = model.wake(nid, t)
+            if nxt is not None:
+                heapq.heappush(events, (nxt, nid))
+            for e in extras:
+                heapq.heappush(events, e)
+            if model.nodes[nid].moving:
+                self.moving.add(nid)
+            else:
+                self.moving.discard(nid)
+            self._apply_move(nid, model.position(nid, t), t)
+        size = self.cell_size
+        for nid in list(self.moving):
+            newpos = model.position(nid, t)
+            cell = self.node_cell[nid]
+            if (self.radio[nid].phase not in (Phase.AP, Phase.CLIENT)
+                    and cell not in self.dormant_on
+                    and int(newpos[0] // size) == cell[0]
+                    and int(newpos[1] // size) == cell[1]):
+                if newpos != self.pos[nid]:
+                    self.pos[nid] = newpos
+                    self._bump_cell(cell)
+            else:
+                self._apply_move(nid, newpos, t)
+
+
+def moved_world_state(sim):
+    """world_state without the cell versions and the scan keys built from
+    them: a skipped mover leaves out the bumps of its cell."""
+    state = world_state(sim)
+    del state["cellver"], state["client_scan_key"]
+    return state
+
+
+class TestLazyMovers:
+    """Movers skipped until their check times give the reports and the
+    world of movers stepped at every tick, and match a recount at each
+    audit."""
+
+    @pytest.mark.parametrize("world,args", WORLD_CASES + [
+        (preset_world, ("scenario4", "hrson", 4, 36000.0,
+                        ["engine.tick=0.7"], 120))])
+    def test_reports_and_world_equal_eager_movers(self, world, args):
+        states = {}
+        skipped = []
+
+        def record(tag):
+            def aud(sim, t):
+                states.setdefault(tag, []).append(moved_world_state(sim))
+                if tag == "lazy":
+                    recount_lazy(sim, t)
+                    skipped.append(sum(sim.lazy_count.values()))
+            return aud
+
+        def build(cls, tag):
+            sim = world(cls, *args)
+            sim.auditors.append(record(tag))
+            sim.audit_interval = 997.0
+            return sim
+
+        lazy, eager = build(Simulation, "lazy"), build(EagerSimulation,
+                                                       "eager")
+        assert lazy.run() == eager.run()
+        assert states["lazy"] == states["eager"]
+        assert len(states["eager"]) >= 10
+        assert moved_world_state(lazy) == moved_world_state(eager)
+        # static nodes never move; on a map, walkers were skipped
+        assert (max(skipped) > 0) == (world is preset_world)
 
 
 class SpyPolicy(EpidemicPolicy):

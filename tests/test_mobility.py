@@ -7,9 +7,9 @@ import pytest
 from opposim.map_graph import (PoiKind, PointOfInterest, RoadGraph,
                                SegmentLayout, place_pois, synth_map)
 from opposim.mobility import (
-    DAY, WORK_DEPARTURE, Activity, BusLine, MobilityError, MobilityModel,
-    MobilitySettings, NodeProfile, Polyline, build_bus_lines, build_profiles,
-    is_at_home, plan_day, schedule_day,
+    DAY, WORK_DEPARTURE, Activity, BusLine, Leg, MobilityError,
+    MobilityModel, MobilitySettings, NodeProfile, Polyline, build_bus_lines,
+    build_profiles, is_at_home, plan_day, schedule_day,
 )
 
 
@@ -353,3 +353,64 @@ class TestIsAtHome:
         assert not is_at_home(Activity.COMMUTE_TO_OFFICE)
         assert not is_at_home(Activity.COMMUTE_TO_EVENING)
         assert not is_at_home(Activity.COMMUTE_TO_HOUSE)
+
+
+class TestCellExit:
+    """`Leg.exit_time` gives the engine a time to look at a walker again."""
+
+    @staticmethod
+    def random_leg(gen, size):
+        """A leg of two to five points: anywhere, on a cell edge, or a hair
+        off one, so that some segments run along an edge."""
+        def coord():
+            kind = gen.integers(3)
+            edge = float(gen.integers(10)) * size
+            if kind == 0:
+                return float(gen.uniform(0.0, 10 * size))
+            if kind == 1:
+                return edge
+            return edge + float(gen.choice([-1e-9, 1e-9, -1e-3, 1e-3]))
+        points = [(coord(), coord())]
+        for _ in range(int(gen.integers(1, 5))):
+            x, y = points[-1]
+            axis = gen.integers(3)
+            if axis == 0:
+                points.append((coord(), y))
+            elif axis == 1:
+                points.append((x, coord()))
+            else:
+                points.append((coord(), coord()))
+        return Polyline(points)
+
+    @pytest.mark.parametrize("tick", [1.0, 0.3])
+    def test_check_time_never_passes_a_cell_change(self, tick):
+        # on every tick of random legs, the check time is at or before the
+        # first later tick whose position lies in another cell
+        gen = rng(15)
+        checks = skipped = 0
+        for _ in range(400):
+            size = float(gen.choice([20.0, 7.3, 100.0]))
+            line = self.random_leg(gen, size)
+            if line.length <= 1e-9:
+                continue
+            speed = float(gen.uniform(0.5, 12.0))
+            first = int(gen.integers(0, 500_000))
+            leg = Leg(line, speed, first * tick)
+            times = []
+            k = first
+            while k * tick < leg.end:
+                times.append(k * tick)
+                k += 1
+            cells = [(int(x // size), int(y // size))
+                     for x, y in map(leg.at, times)]
+            change = math.inf          # first later tick in another cell
+            for j in range(len(times) - 1, -1, -1):
+                check = leg.exit_time(times[j], cells[j], size)
+                assert check <= change, (line.points, speed, times[j])
+                checks += 1
+                skipped += sum(1 for t in times[j + 1:j + 50] if t < check)
+                if j and cells[j - 1] != cells[j]:
+                    change = times[j]
+        # the bound is useful: most checks let the walker skip ticks
+        assert checks > 10_000
+        assert skipped > 2 * checks

@@ -134,6 +134,31 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,named", [
+        # unparsable sweep values and seeds name the bad token
+        (["sweep", "--param", "traffic_interval", "--values", "75"],
+         "bad traffic_interval value '75'"),
+        (["sweep", "--param", "copies", "--values", "4x"],
+         "bad copies value '4x'"),
+        (["batch", "--seeds", "1,x"], "bad seed 'x'"),
+        # settings the map or population cannot be built from name the
+        # seed and the swept value
+        (["sweep", "--param", "homes", "--values", "0"],
+         "seed 1, homes=[(0, 1)]: no office"),
+        (["run", "--set", "pois.offices=0"], "seed 1: no office"),
+        (["run", "--set", "map.grid_step=400"],
+         "seed 1: segment A has no candidate vertices"),
+    ])
+    def test_bad_input_is_an_error_line(self, argv, named, capsys):
+        command, *rest = argv
+        rc = main([command, "--scenario", "desk", "--duration", "60",
+                   "--workers" if command != "run" else "--seed",
+                   "1", *rest])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
     def test_unwritable_report_is_reported_not_raised(self, tmp_path, capsys):
         out = tmp_path / "res"
         (out / "runs.csv").mkdir(parents=True)
