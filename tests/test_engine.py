@@ -955,7 +955,11 @@ class TestLazyMovers:
 
     @pytest.mark.parametrize("world,args", WORLD_CASES + [
         (preset_world, ("scenario4", "hrson", 4, 36000.0,
-                        ["engine.tick=0.7"], 120))])
+                        ["engine.tick=0.7"], 120)),
+        # clients that rescan every second: some rescan in the tick a
+        # skipped walker near them attaches, which bumps the walker's cell
+        (preset_world, ("desk", "snw", 8, 43200.0,
+                        ["radio.client_rescan=1"]))])
     def test_reports_and_world_equal_eager_movers(self, world, args):
         states = {}
         skipped = []
