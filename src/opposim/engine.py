@@ -659,8 +659,8 @@ class Simulation:
         A free mover, one with no link (neither AP nor CLIENT) that moves
         inside its cell outside every dormant ring, only moves and bumps
         its cell: `_apply_move` has no link of it to check, no AP
-        neighbours to settle and no dormant node to wake. A free walker or
-        driver (mode MOVING) whose step bumped its cell is then skipped
+        neighbours to settle and no dormant node to wake. A free node on
+        foot or in a car (mode MOVING) whose step bumped its cell is skipped
         until its check time, `Leg.exit_time`, the earliest time its leg
         segment can leave the cell or end; at the first tick from then on
         it is stepped as every tick, so `Polyline.at` still decides its
@@ -736,8 +736,8 @@ class Simulation:
                     self._arm(nid, t)
 
     def _arm(self, nid: int, t: float) -> None:
-        """Free mover nid was stepped at tick t with a bump of its cell: a
-        walker or driver is skipped until its check time, if that lies
+        """Free mover nid was stepped at tick t with a bump of its cell: on
+        foot or in a car, it is skipped until its check time, if that lies
         past the next tick (see `_mobility_step`)."""
         state = self.model.nodes[nid]
         if state.mode is not _MOVING:

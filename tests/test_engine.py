@@ -223,10 +223,10 @@ def recount_world(sim, t):
 
 
 def recount_lazy(sim, t):
-    """Auditor: a skipped mover is a moving walker or driver with no link,
-    outside every dormant ring, with a check time ahead, in the cell of
-    its position; the skipped movers per cell are those counted, and no
-    client sleeps on their cells."""
+    """Auditor: a skipped mover moves on foot or by car (mode MOVING), has
+    no link, lies outside every dormant ring and has a check time ahead,
+    in the cell of its position; the skipped movers per cell are those
+    counted, and no client sleeps on their cells."""
     size = sim.cell_size
     lazy = {}
     for nid, until in enumerate(sim.check_at):
