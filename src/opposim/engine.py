@@ -28,7 +28,8 @@ its state repeats, the whole cycles left are jumped in one step
 
 Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
-radio, policy) so reconfiguring one layer never perturbs another.
+radio, policy) so reconfiguring one layer never perturbs another. Each is
+an `rng.Stream`: numpy's PCG64 stream, reproduced without numpy.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-import numpy as np
-
 from . import radio as radio_mod
 from .map_graph import (PoiKind, SegmentLayout, parse_map, place_pois,
                         synth_map)
@@ -54,6 +53,7 @@ from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, LinkModel,
                     RadioState, TimingParams, VisibleAp, ap_due_retirement,
                     assign_channel, joiner_bandwidth_estimate,
                     member_bandwidth_estimate, should_switch_ap, step_radio)
+from .rng import Stream
 from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, BufferEntry, HasView,
                       PeerSummary, PlannedSend, RouterPolicy, buffer_admit,
                       make_policy, spray_split)
@@ -198,10 +198,9 @@ class ScenarioConfig:
             raise ConfigError("need at least 2 nodes")
 
 
-def stream_rng(seed: int, name: str) -> np.random.Generator:
+def stream_rng(seed: int, name: str) -> Stream:
     """Independent generator for one named stream of a run."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), RNG_STREAMS[name]])))
+    return Stream([int(seed), RNG_STREAMS[name]])
 
 
 def _shares_world(config: ScenarioConfig, other: ScenarioConfig) -> bool:

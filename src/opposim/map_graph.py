@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
+from .rng import Stream
 
 SNAP_DISTANCE = 1e-3  # meters; merges shared linestring junctions
 
@@ -255,7 +255,7 @@ def synth_map(width: float, height: float, grid_step: float, seed: int,
             if j + 1 < rows:
                 edges.append((vid(i, j), vid(i, j + 1)))
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x6D61])))
+    rng = Stream([int(seed), 0x6D61])
     keep = {e: True for e in edges}
     adj: Dict[int, set] = {v: set() for v in range(len(coords))}
     for a, b in edges:
@@ -373,7 +373,7 @@ def place_pois(graph: RoadGraph, layout: SegmentLayout,
             raise MapError(f"segment {name} has no candidate vertices")
         candidates[name] = cand
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x504F49])))
+    rng = Stream([int(seed), 0x504F49])
     pois: List[PointOfInterest] = []
     office_side = math.sqrt(office_area)
     segments = ("A", "B", "C")
