@@ -970,8 +970,9 @@ class Simulation:
                              radio.ap_max_duration):
             return True
         if not state.clients:
-            nxt = state.last_client_change + radio.ap_idle_timeout
-            self._push_radio(max(nxt, t + 1e-9), nid, "apcheck")
+            # not due, so the deadline lies after t
+            self._push_radio(state.last_client_change + radio.ap_idle_timeout,
+                             nid, "apcheck")
         return False
 
     def _leave_ap_role(self, nid: int, state: RadioState, t: float) -> None:
@@ -1062,13 +1063,9 @@ class Simulation:
           computes is then a visited tick, or one plus such settings, a
           whole number below 2 ** 53: sums, differences and comparisons
           are exact, `_tick_at_or_after` corrects its quotient with exact
-          products, and P is a whole number of ticks. The one other time,
-          `t + 1e-9` in `_apcheck_step`, never comes up: each role here
-          began in this replay with `last_client_change == ap_since`, has
-          no clients, and every live apcheck of it is due at its idle
-          deadline or its term, so it retires. A 0.3 s tick or a 37.7 s
-          idle timeout rounds differently at different times, and the
-          replay then stays event by event.
+          products, and P is a whole number of ticks. A 0.3 s tick or a
+          37.7 s idle timeout rounds differently at different times, and
+          the replay then stays event by event.
         - Nothing can tell the jump apart. The stale events it drops are
           skipped when popped and never leave nid's heap, and the live
           ones go back in their old order. The numbers of `_radio_seq`

@@ -161,12 +161,16 @@ def should_switch_ap(current_estimate: float, candidate_estimate: float,
 def ap_due_retirement(state: RadioState, now: float,
                       idle_timeout: float = 60.0,
                       max_duration: float = 600.0) -> bool:
-    """An AP steps down after idling without clients or serving too long."""
+    """An AP steps down after idling without clients or serving too long.
+
+    Each deadline is compared as the sum the engine pushes its apcheck
+    for: `now - ap_since` can round below the term that `ap_since +
+    max_duration` reached (1217.1 - 617.1 is 599.9999999999999)."""
     if state.phase is not AP:
         return False
-    if not state.clients and now - state.last_client_change >= idle_timeout:
+    if not state.clients and now >= state.last_client_change + idle_timeout:
         return True
-    return now - state.ap_since >= max_duration
+    return now >= state.ap_since + max_duration
 
 
 def assign_channel(nearby_channels: Iterable[int], num_channels: int = 5) -> int:

@@ -328,6 +328,28 @@ class TestDisruptionScripts:
         up_again = min(t for t, ok in connected if t > drop and ok)
         assert up_again - drop == pytest.approx(16.0, abs=1.0)
 
+    @pytest.mark.parametrize("tick,term", [(1.0, 40.0), (0.3, 600.0)])
+    def test_ap_with_a_client_retires_at_its_term(self, tick, term):
+        # node 0 serves node 1 for good; every AP term must end within a
+        # tick of its limit, also when the term's end falls off the tick
+        # grid and the difference back to `ap_since` rounds below the
+        # limit (617.1 + 600.0 - 617.1 < 600.0)
+        cfg = dataclasses.replace(
+            scripted_config(duration=3000.0),
+            radio=RadioConfig(stagger=False, ap_max_duration=term),
+            tick=tick)
+        sim = Simulation(cfg, seed=3,
+                         static_positions=[(0.0, 0.0), (5.0, 0.0)],
+                         ap_gate={0: True, 1: False})
+        served = []
+        sim.auditors = [lambda s, t: served.append(
+            (t, t - s.radio[0].ap_since if s.radio[0].phase is Phase.AP
+             else 0.0))]
+        sim.audit_interval = 1.0
+        sim.run()
+        t, longest = max(served, key=lambda sample: sample[1])
+        assert longest <= term + tick, (t, longest)
+
     def test_ap_moving_away_restores_its_neighbours_rate(self):
         # AP 2 passes by AP 0, which sends 50 MB to its client 1 from
         # 16 s: 20 MB go by 20 s at 5 MB/s, 5 MB by 22 s at the shared

@@ -176,6 +176,20 @@ class TestApRetirement:
         assert not ap_due_retirement(s, 599.0)
         assert ap_due_retirement(s, 600.0)
 
+    # the engine pushes an apcheck for `ap_since + max_duration` (or
+    # `last_client_change + idle_timeout`) and handles it at that float or
+    # a later tick; the difference back can round below the term, as
+    # 1217.1 - 617.1 == 599.9999999999999 does
+    def test_term_ends_at_its_apcheck_off_the_tick_grid(self):
+        s = ap_state(clients=1, since=617.1)
+        assert ap_due_retirement(s, 617.1 + 600.0)
+        assert not ap_due_retirement(s, 1217.0)
+
+    def test_idle_deadline_ends_at_its_apcheck_off_the_tick_grid(self):
+        s = ap_state(clients=0, since=5.1)
+        assert ap_due_retirement(s, 5.1 + 60.0)
+        assert not ap_due_retirement(s, 65.0)
+
 
 class TestSwitchRule:
     def test_requires_ratio(self):
