@@ -21,7 +21,7 @@ than loading numpy. tests/test_rng.py compares every draw kind with numpy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -43,11 +43,9 @@ _INT64_MAX = (1 << 63) - 1
 _INF = float("inf")
 
 
-def _words(entropy: Union[int, Sequence[int]]) -> List[int]:
+def _words(entropy: Sequence[int]) -> List[int]:
     """The entropy as 32-bit words: each integer least significant word
     first, zero as one word."""
-    if isinstance(entropy, int):
-        entropy = [entropy]
     words = []
     for n in entropy:
         n = int(n)
@@ -110,7 +108,7 @@ class Stream:
 
     __slots__ = ("state", "inc", "half")
 
-    def __init__(self, entropy: Union[int, Sequence[int]]):
+    def __init__(self, entropy: Sequence[int]):
         w = _generate_state(_pool(_words(entropy)), 8)
         # generate_state(4, np.uint64) pairs the words little end first
         seed = [w[2 * k] | (w[2 * k + 1] << 32) for k in range(4)]
@@ -140,10 +138,7 @@ class Stream:
         """A double in [0, 1), or a list of n of them."""
         if n is not None:
             return [self.random() for _ in range(n)]
-        s = self.state = (self.state * _MULT + self.inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        r = s >> 122
-        return ((((x >> r) | (x << (64 - r))) & _MASK64) >> 11) * _TO_DOUBLE
+        return (self.next_uint64() >> 11) * _TO_DOUBLE
 
     def uniform(self, low: float, high: float) -> float:
         low = float(low)

@@ -328,16 +328,15 @@ class TestDisruptionScripts:
         up_again = min(t for t, ok in connected if t > drop and ok)
         assert up_again - drop == pytest.approx(16.0, abs=1.0)
 
-    @pytest.mark.parametrize("tick,term", [(1.0, 40.0), (0.3, 600.0)])
-    def test_ap_with_a_client_retires_at_its_term(self, tick, term):
+    def test_ap_with_a_client_retires_at_its_term_off_the_tick_grid(self):
         # node 0 serves node 1 for good; every AP term must end within a
-        # tick of its limit, also when the term's end falls off the tick
-        # grid and the difference back to `ap_since` rounds below the
-        # limit (617.1 + 600.0 - 617.1 < 600.0)
+        # tick of its limit, also when the term's end falls off the 0.3 s
+        # tick grid and the difference back to `ap_since` rounds below
+        # the limit (617.1 + 600.0 - 617.1 < 600.0)
+        tick, term = 0.3, 600.0
         cfg = dataclasses.replace(
             scripted_config(duration=3000.0),
-            radio=RadioConfig(stagger=False, ap_max_duration=term),
-            tick=tick)
+            radio=RadioConfig(stagger=False), tick=tick)
         sim = Simulation(cfg, seed=3,
                          static_positions=[(0.0, 0.0), (5.0, 0.0)],
                          ap_gate={0: True, 1: False})
