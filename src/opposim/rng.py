@@ -98,6 +98,19 @@ def _generate_state(pool: List[int], n_words: int) -> List[int]:
     return state
 
 
+def _lemire(draw, bits: int, excl: int) -> int:
+    """An integer in [0, excl) from `bits`-bit draws: the high bits of a
+    draw times excl, drawn again while the low bits fall among the
+    2**bits % excl values that would bias the result."""
+    m = draw() * excl
+    low_mask = (1 << bits) - 1
+    if m & low_mask < excl:      # excl bounds the threshold: skip the modulo
+        threshold = (1 << bits) % excl
+        while m & low_mask < threshold:
+            m = draw() * excl
+    return m >> bits
+
+
 class Stream:
     """One PCG64 stream seeded through SeedSequence(entropy).
 
@@ -162,24 +175,12 @@ class Stream:
         if rng == 0:
             return low
         if rng < _MASK32:
-            excl = rng + 1
-            m = self.next_uint32() * excl
-            if m & _MASK32 < excl:
-                threshold = (_MASK32 - rng) % excl
-                while m & _MASK32 < threshold:
-                    m = self.next_uint32() * excl
-            return low + (m >> 32)
+            return low + _lemire(self.next_uint32, 32, rng + 1)
         if rng == _MASK32:
             return low + self.next_uint32()
         if rng == _MASK64:
             return low + self.next_uint64()
-        excl = rng + 1
-        m = self.next_uint64() * excl
-        if m & _MASK64 < excl:
-            threshold = (_MASK64 - rng) % excl
-            while m & _MASK64 < threshold:
-                m = self.next_uint64() * excl
-        return low + (m >> 64)
+        return low + _lemire(self.next_uint64, 64, rng + 1)
 
     def permutation(self, n: int) -> List[int]:
         """A shuffled range(n): numpy's Fisher-Yates from the top, each
