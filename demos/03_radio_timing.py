@@ -8,9 +8,10 @@ costs 10 s if an alternate AP is already in range, 16 s otherwise."""
 
 import dataclasses
 
-from opposim.engine import RadioConfig, ScenarioConfig, Simulation
+from opposim.engine import Simulation
 from opposim.radio import (Phase, TimingParams, net_initiate_time,
                            net_reinitiate_time)
+from opposim.scenario import RadioConfig, ScenarioConfig
 from opposim.traffic import TrafficConfig
 
 

@@ -10,7 +10,7 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
-from opposim.engine import run_batch, sweep
+from opposim.batch import run_batch, sweep
 from opposim.metrics import aggregate, render_sweep_csv, write_reports
 from opposim.scenario import load_scenario
 

@@ -7,9 +7,9 @@ pluggable store-carry-forward routing (epidemic flooding, binary
 spray-and-wait, and home-gated spray-and-wait).
 """
 
+from .batch import run_batch, sweep
 from .contacts import Contact, run_contact_trace
-from .engine import (MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
-                     ScenarioConfig, Simulation, run, run_batch, sweep)
+from .engine import Plane, Simulation, run
 from .map_graph import (PoiKind, PointOfInterest, RoadGraph, SegmentLayout,
                         parse_map, place_pois, serialize_map, shortest_path,
                         synth_map)
@@ -21,7 +21,8 @@ from .radio import (LinkModel, RadioState, TimingParams, assign_channel,
                     net_reinitiate_time)
 from .routing import (Buffer, RouterPolicy, buffer_admit, make_policy,
                       spray_split)
-from .scenario import load_scenario, serialize_scenario
+from .scenario import (MapConfig, PoiConfig, RadioConfig, RoutingConfig,
+                       ScenarioConfig, load_scenario, serialize_scenario)
 from .traffic import (Message, TrafficConfig, expected_count, make_message,
                       next_creation)
 

@@ -18,11 +18,12 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .engine import ConfigError, SWEEP_PARAMETERS, run_batch, sweep
+from .batch import run_batch, sweep
 from .map_graph import MapError
 from .metrics import (aggregate, render_sweep_csv, write_reports)
 from .mobility import MobilityError
-from .scenario import PRESET_NAMES, load_scenario
+from .scenario import (PRESET_NAMES, SWEEP_PARAMETERS, ConfigError,
+                       load_scenario, sweep_parameter)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -41,71 +42,34 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_seeds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", default=None,
                    help="comma-separated explicit seed list")
-    p.add_argument("--runs", type=int, default=None,
+    p.add_argument("--runs", type=int, default=1,
                    help="number of seeds, starting at --base-seed")
     p.add_argument("--base-seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes (default: CPU count)")
 
 
-def _tokens(text: str) -> List[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, parse, error: str) -> List:
+    """Each comma-separated token parsed; `error` formats a bad token."""
+    values = []
+    for tok in [t.strip() for t in text.split(",") if t.strip()]:
+        try:
+            values.append(parse(tok))
+        except ValueError:
+            raise ConfigError(error.format(tok)) from None
+    return values
 
 
 def _seed_list(args) -> List[int]:
     if args.seeds:
-        seeds = []
-        for tok in _tokens(args.seeds):
-            try:
-                seeds.append(int(tok))
-            except ValueError:
-                raise ConfigError(f"bad seed {tok!r} in --seeds") from None
-        return seeds
-    runs = args.runs if args.runs is not None else 1
-    if runs < 1:
-        raise ConfigError("--runs must be at least 1")
-    return list(range(args.base_seed, args.base_seed + runs))
-
-
-_VALUE_FORMS = {"copies": "an integer", "ttl": "hours",
-                "traffic_interval": "LO-HI in seconds",
-                "homes": "OFFICES or OFFICES:EVENING_SPOTS"}
-
-
-def _parse_sweep_value(param: str, tok: str):
-    if param == "copies":
-        return int(tok)
-    if param == "ttl":
-        return float(tok) * 3600.0              # given in hours
-    if param == "traffic_interval":
-        lo, hi = tok.split("-")
-        return (float(lo), float(hi))
-    if ":" in tok:                              # homes
-        offices, evening = tok.split(":")
-        return (int(offices), int(evening))
-    offices = int(tok)
-    return (offices, max(1, offices // 5))
+        return _parse_list(args.seeds, int, "bad seed {!r} in --seeds")
+    return list(range(args.base_seed, args.base_seed + args.runs))
 
 
 def _parse_sweep_values(param: str, text: str) -> List:
-    if param not in _VALUE_FORMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
-    values: List = []
-    for tok in _tokens(text):
-        try:
-            values.append(_parse_sweep_value(param, tok))
-        except ValueError:
-            raise ConfigError(f"bad {param} value {tok!r}: expected "
-                              f"{_VALUE_FORMS[param]}") from None
-    return values
-
-
-def _value_label(param: str, value) -> str:
-    if param == "ttl":
-        return f"{value / 3600.0:g}h"
-    if isinstance(value, tuple):
-        return "-".join(str(v) for v in value)
-    return str(value)
+    parameter = sweep_parameter(param)
+    return _parse_list(text, parameter.parse, f"bad {param} value {{!r}}: "
+                       f"expected {parameter.form}")
 
 
 def _print_summary(label: str, reports) -> None:
@@ -139,11 +103,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep = sub.add_parser("sweep", help="vary one parameter over a batch")
     _add_common(p_sweep)
     _add_seeds(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
-    p_sweep.add_argument("--values", required=True,
-                         help="copies: 4,8,...  ttl (hours): 6,12,...  "
-                              "traffic_interval: 75-100,50-75  "
-                              "homes: 50:10,150:30 (offices:evening_spots)")
+    p_sweep.add_argument("--param", required=True,
+                         choices=list(SWEEP_PARAMETERS))
+    p_sweep.add_argument("--values", required=True, help="  ".join(
+        p.example for p in SWEEP_PARAMETERS.values()))
     p_sweep.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="check a scenario without running")
@@ -166,21 +129,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 write_reports([report], args.out)
             return 0
         if args.command == "batch":
-            seeds = _seed_list(args)
-            reports = run_batch(config, seeds, workers=args.workers)
+            reports = run_batch(config, _seed_list(args),
+                                workers=args.workers)
             _print_summary("batch", reports)
             if args.out:
                 write_reports(reports, args.out)
             return 0
         if args.command == "sweep":
             values = _parse_sweep_values(args.param, args.values)
-            if not values:
-                raise ConfigError("no sweep values given")
-            seeds = _seed_list(args)
-            rows = sweep(config, args.param, values, seeds,
+            rows = sweep(config, args.param, values, _seed_list(args),
                          workers=args.workers)
-            labeled = [(_value_label(args.param, v), reports)
-                       for v, reports in rows]
+            label_of = sweep_parameter(args.param).label
+            labeled = [(label_of(v), reports) for v, reports in rows]
             for label, reports in labeled:
                 _print_summary(f"{args.param}={label}", reports)
             if args.out:

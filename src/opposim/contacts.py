@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .engine import Link, Plane, RoutingConfig, ScenarioConfig, Transfer
+from .engine import Link, Plane, Transfer
 from .routing import RouterPolicy
+from .scenario import RoutingConfig, ScenarioConfig
 from .traffic import Message
 
 

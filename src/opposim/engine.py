@@ -37,27 +37,25 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-import os
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from . import radio as radio_mod
-from .map_graph import (PoiKind, SegmentLayout, parse_map, place_pois,
-                        synth_map)
+from .map_graph import SegmentLayout, parse_map, place_pois, synth_map
 from .metrics import MetricsCollector, MetricsReport
-from .mobility import (DAY, MobilityError, MobilityModel, MobilitySettings,
-                       Mode, build_profiles)
-from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, LinkModel,
-                    RadioState, TimingParams, VisibleAp, ap_due_retirement,
-                    assign_channel, joiner_bandwidth_estimate,
-                    member_bandwidth_estimate, should_switch_ap, step_radio)
+from .mobility import DAY, MobilityError, MobilityModel, Mode, build_profiles
+from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, RadioState,
+                    VisibleAp, ap_due_retirement, assign_channel,
+                    joiner_bandwidth_estimate, member_bandwidth_estimate,
+                    should_switch_ap, step_radio)
 from .rng import Stream
-from .routing import (DEFAULT_BUFFER_CAPACITY, Buffer, BufferEntry, HasView,
-                      PeerSummary, PlannedSend, RouterPolicy, buffer_admit,
-                      make_policy, spray_split)
-from .traffic import Message, TrafficConfig, make_message, next_creation
+from .routing import (Buffer, BufferEntry, HasView, PeerSummary, PlannedSend,
+                      RouterPolicy, buffer_admit, make_policy, spray_split)
+from .scenario import ConfigError, ScenarioConfig
+# perfbench/workloads.py imports apply_sweep_value from here
+from .scenario import apply_sweep_value  # noqa: F401
+from .traffic import Message, make_message, next_creation
 
 RNG_STREAMS = {"world": 1, "mobility": 2, "traffic": 3, "radio": 4,
                "policy": 5}
@@ -66,136 +64,8 @@ _MOVING = Mode.MOVING
 _EAGER = -math.inf       # the check time of a node stepped every tick
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class AuditError(RuntimeError):
     """An in-run invariant check failed."""
-
-
-# ---------------------------------------------------------------------------
-# Scenario configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MapConfig:
-    source: str = "synthetic"          # synthetic | file
-    file: Optional[str] = None
-    width: float = 500.0
-    height: float = 500.0
-    grid_step: float = 50.0
-    edge_removal: float = 0.15
-    map_seed: int = 0                  # map geometry is fixed across runs
-
-    def validate(self) -> None:
-        if self.source not in ("synthetic", "file"):
-            raise ConfigError(f"map source must be synthetic or file, got {self.source!r}")
-        if self.source == "file" and not self.file:
-            raise ConfigError("map source 'file' needs a file path")
-        if self.source == "synthetic" and min(self.width, self.height,
-                                              self.grid_step) <= 0:
-            raise ConfigError("synthetic map dimensions must be positive")
-        if not (0 <= self.edge_removal < 1):
-            raise ConfigError("edge_removal must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class PoiConfig:
-    houses: int = 12
-    offices: int = 4
-    evening_spots: int = 3
-    bus_stops: int = 6
-    office_area: float = 10000.0
-    segment_overlap: float = 0.2
-
-    def validate(self) -> None:
-        if min(self.houses, self.offices, self.evening_spots, self.bus_stops) < 0:
-            raise ConfigError("POI counts must be nonnegative")
-        if self.office_area <= 0:
-            raise ConfigError("office_area must be positive")
-        if not (0 < self.segment_overlap < 1):
-            raise ConfigError("segment_overlap must be in (0, 1)")
-
-    def counts(self) -> Dict[PoiKind, int]:
-        return {PoiKind.HOUSE: self.houses, PoiKind.OFFICE: self.offices,
-                PoiKind.EVENING_SPOT: self.evening_spots,
-                PoiKind.BUS_STOP: self.bus_stops}
-
-
-@dataclass(frozen=True)
-class RadioConfig:
-    timing: TimingParams = field(default_factory=TimingParams)
-    link: LinkModel = field(default_factory=LinkModel)
-    p_ap: float = 0.5                  # baseline AP coin after a failed scan
-    client_rescan: float = 30.0        # seconds between background rescans
-    switch_ratio: float = 1.25         # faster-AP hysteresis
-    ap_idle_timeout: float = 60.0
-    ap_max_duration: float = 600.0
-    stagger: bool = True               # randomize first scan start per node
-
-    def validate(self) -> None:
-        try:
-            self.timing.validate()
-            self.link.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not (0 <= self.p_ap <= 1):
-            raise ConfigError("p_ap must be in [0, 1]")
-        if self.client_rescan <= 0 or self.switch_ratio < 1:
-            raise ConfigError("bad client rescan settings")
-        if self.ap_idle_timeout <= 0 or self.ap_max_duration <= 0:
-            raise ConfigError("AP retirement timers must be positive")
-
-
-@dataclass(frozen=True)
-class RoutingConfig:
-    router: str = "epidemic"           # epidemic | snw | hrson
-    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
-    summary_refresh: float = 120.0     # periodic anti-entropy on long links; 0 off
-
-    def validate(self) -> None:
-        try:
-            make_policy(self.router)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.buffer_capacity <= 0:
-            raise ConfigError("buffer capacity must be positive")
-        if self.summary_refresh < 0:
-            raise ConfigError("summary_refresh must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    map: MapConfig = field(default_factory=MapConfig)
-    pois: PoiConfig = field(default_factory=PoiConfig)
-    mobility: MobilitySettings = field(default_factory=MobilitySettings)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    radio: RadioConfig = field(default_factory=RadioConfig)
-    routing: RoutingConfig = field(default_factory=RoutingConfig)
-    duration: float = 86400.0
-    tick: float = 1.0
-
-    @property
-    def node_count(self) -> int:
-        return sum(self.mobility.group_sizes)
-
-    def validate(self) -> None:
-        self.map.validate()
-        self.pois.validate()
-        try:
-            self.mobility.validate()
-            self.traffic.validate()
-        except (MobilityError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        self.radio.validate()
-        self.routing.validate()
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.tick <= 0:
-            raise ConfigError("tick must be positive")
-        if self.node_count < 2:
-            raise ConfigError("need at least 2 nodes")
 
 
 def stream_rng(seed: int, name: str) -> Stream:
@@ -203,7 +73,7 @@ def stream_rng(seed: int, name: str) -> Stream:
     return Stream([int(seed), RNG_STREAMS[name]])
 
 
-def _shares_world(config: ScenarioConfig, other: ScenarioConfig) -> bool:
+def shares_world(config: ScenarioConfig, other: ScenarioConfig) -> bool:
     """Whether two configs can run as routing planes of one world: they
     differ in `traffic` only."""
     return dataclasses.replace(config, traffic=other.traffic) == other
@@ -422,7 +292,7 @@ class Simulation:
         if self.clock > 0.0:
             raise ConfigError("a routing plane joins a world that has not "
                               "started running")
-        if not _shares_world(config, self.config):
+        if not shares_world(config, self.config):
             raise ConfigError("a routing plane shares its world's every "
                               "setting but traffic")
         plane = Plane(config, self.seed, self.n_nodes, self.ap_near)
@@ -1745,112 +1615,9 @@ class Plane:
 
 
 # ---------------------------------------------------------------------------
-# Entry points
+# Entry point
 # ---------------------------------------------------------------------------
 
 def run(config: ScenarioConfig, seed: int, **kwargs) -> MetricsReport:
     """One seeded simulation; a pure function of (config, seed)."""
     return Simulation(config, seed, **kwargs).run()
-
-
-def _run_planes(task) -> List[MetricsReport]:
-    """Reports of configs that differ only in traffic, run as routing
-    planes on one world. An error keeps its type, and its message starts
-    with the task's label: the seed and any swept values."""
-    configs, seed, token_audit, label = task
-    try:
-        sim = Simulation(configs[0], seed, token_audit=token_audit)
-        for config in configs[1:]:
-            sim.add_plane(config)
-        sim.run()
-    except Exception as exc:
-        exc.args = (f"{label}: {exc}",)
-        raise
-    return [plane.report for plane in sim.planes]
-
-
-def _run_tasks(tasks: Sequence, workers: Optional[int]
-               ) -> List[List[MetricsReport]]:
-    """_run_planes over every task: in one process pool, or in the caller
-    for a single task or a single worker."""
-    if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) == 1:
-        return [_run_planes(task) for task in tasks]
-    import multiprocessing as mp
-    ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
-    with ctx.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(_run_planes, tasks, chunksize=1)
-
-
-def run_batch(config: ScenarioConfig, seeds: Sequence[int],
-              workers: Optional[int] = None,
-              token_audit: bool = False) -> List[MetricsReport]:
-    """Independent runs for every seed; parallelism never changes results."""
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    config.validate()
-    tasks = [([config], int(s), token_audit, f"seed {int(s)}")
-             for s in seeds]
-    return [reports[0] for reports in _run_tasks(tasks, workers)]
-
-
-SWEEP_PARAMETERS = ("traffic_interval", "ttl", "copies", "homes")
-
-
-def apply_sweep_value(config: ScenarioConfig, parameter: str,
-                      value) -> ScenarioConfig:
-    if parameter == "copies":
-        traffic = dataclasses.replace(config.traffic, copy_limit=int(value))
-        return dataclasses.replace(config, traffic=traffic)
-    if parameter == "ttl":
-        traffic = dataclasses.replace(config.traffic, ttl=float(value))
-        return dataclasses.replace(config, traffic=traffic)
-    if parameter == "traffic_interval":
-        lo, hi = value
-        traffic = dataclasses.replace(config.traffic,
-                                      interval_range=(float(lo), float(hi)))
-        return dataclasses.replace(config, traffic=traffic)
-    if parameter == "homes":
-        offices, evening = value
-        pois = dataclasses.replace(config.pois, offices=int(offices),
-                                   evening_spots=int(evening))
-        return dataclasses.replace(config, pois=pois)
-    raise ConfigError(f"unknown sweep parameter {parameter!r}; "
-                      f"choose from {', '.join(SWEEP_PARAMETERS)}")
-
-
-def sweep(config: ScenarioConfig, parameter: str, values: Sequence,
-          seeds: Sequence[int], workers: Optional[int] = None,
-          token_audit: bool = False,
-          ) -> List[Tuple[object, List[MetricsReport]]]:
-    """One batch per swept value, all other parameters fixed.
-
-    Values whose configs differ only in traffic share one world per seed,
-    each as a routing plane of it (see Simulation); a `homes` value is a
-    world of its own. Every (world, seed) pair is one task, and all tasks
-    share one pool. Reports equal independent runs of each value."""
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    seeds = [int(s) for s in seeds]
-    derived = [apply_sweep_value(config, parameter, v) for v in values]
-    groups: List[List[int]] = []      # indices of values sharing a world
-    for i, cfg in enumerate(derived):
-        for group in groups:
-            if _shares_world(cfg, derived[group[0]]):
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    tasks = [([derived[i] for i in group], seed, token_audit,
-              f"seed {seed}, {parameter}={[values[i] for i in group]}")
-             for group in groups for seed in seeds]
-    results = iter(_run_tasks(tasks, workers))
-    by_value: List[List[MetricsReport]] = [[] for _ in values]
-    for group in groups:
-        for _ in seeds:
-            for i, report in zip(group, next(results)):
-                by_value[i].append(report)
-    return list(zip(values, by_value))

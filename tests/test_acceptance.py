@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from opposim.batch import run_batch, sweep
 from opposim.contacts import Contact, run_contact_trace
-from opposim.engine import (ScenarioConfig, Simulation, apply_sweep_value,
-                            run, run_batch, sweep)
+from opposim.engine import Simulation, run
 from opposim.metrics import render_runs_csv
 from opposim.mobility import DAY, Activity
 from opposim.radio import Phase
 from opposim.routing import make_policy
-from opposim.scenario import load_scenario
+from opposim.scenario import ScenarioConfig, load_scenario
 from opposim.traffic import Message, TrafficConfig
 
 from oracle_temporal import earliest_delivery

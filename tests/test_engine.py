@@ -6,17 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from opposim.batch import run_batch, sweep
 from opposim.engine import (
-    AuditError, ConfigError, MapConfig, Plane, PoiConfig, RadioConfig, RoutingConfig,
-    ScenarioConfig, Simulation, _co_channel_count, _ring, _tick_index,
-    apply_sweep_value, run, run_batch, stream_rng, sweep,
+    AuditError, Plane, Simulation, _co_channel_count, _ring, _tick_index, run,
+    stream_rng,
 )
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings, Mode
 from opposim.radio import Phase, TimingParams, effective_bandwidth
 from opposim.routing import (SPRAY_MIN_TOKENS, EpidemicPolicy, HasView,
                              PeerSummary, buffer_admit)
-from opposim.scenario import load_scenario
+from opposim.scenario import (
+    ConfigError, MapConfig, PoiConfig, RadioConfig, RoutingConfig,
+    ScenarioConfig, apply_sweep_value, load_scenario,
+)
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000

@@ -10,8 +10,8 @@ import dataclasses
 
 import pytest
 
-from opposim.engine import RadioConfig, ScenarioConfig, Simulation, run
-from opposim.scenario import load_scenario
+from opposim.engine import Simulation, run
+from opposim.scenario import RadioConfig, ScenarioConfig, load_scenario
 from opposim.traffic import TrafficConfig
 
 MB = 1_000_000

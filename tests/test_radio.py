@@ -1,12 +1,13 @@
 import pytest
 
-from opposim.engine import ScenarioConfig, Simulation
+from opposim.engine import Simulation
 from opposim.radio import (
     LinkModel, Phase, RadioState, TimingParams, VisibleAp,
     ap_due_retirement, assign_channel, best_ap, effective_bandwidth,
     joiner_bandwidth_estimate, net_initiate_time, net_reinitiate_time,
     should_switch_ap, step_radio,
 )
+from opposim.scenario import ScenarioConfig
 
 DEFAULTS = TimingParams()
 LINK = LinkModel()

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from opposim.engine import RadioConfig, RoutingConfig, ScenarioConfig, Simulation
+from opposim.engine import Simulation
 from opposim.routing import (
     SPRAY_MIN_TOKENS, Buffer, HasView, PeerSummary, PlannedSend, RoutingError,
     buffer_admit, make_policy, spray_split,
 )
+from opposim.scenario import RadioConfig, RoutingConfig, ScenarioConfig
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000

@@ -1,12 +1,14 @@
+import dataclasses
+import math
 import os
+import re
 
 import pytest
 
 from opposim.cli import main
-from opposim.engine import ConfigError
 from opposim.scenario import (
-    PRESET_NAMES, load_scenario, parse_override, parse_scenario_text,
-    preset_text, rescale_groups, serialize_scenario,
+    PRESET_NAMES, ConfigError, ScenarioConfig, load_scenario, parse_override,
+    parse_scenario_text, preset_text, rescale_groups, serialize_scenario,
 )
 
 
@@ -67,6 +69,13 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="power"):
             parse_scenario_text("[power]\nbudget = 3\n")
 
+    # a stray separator is an error, so -5-10 is not read as 5-10; the
+    # sweep's traffic_interval tokens are parsed by the same rule
+    @pytest.mark.parametrize("text", ["-5-10", "5,,10", "5-"])
+    def test_malformed_pair_rejected(self, text):
+        with pytest.raises(ConfigError, match="interval"):
+            parse_scenario_text(f"[traffic]\ninterval = {text}\n")
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match="copies"):
             parse_scenario_text("[traffic]\ncopies = ten\n")
@@ -74,6 +83,28 @@ class TestLoadScenario:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ConfigError):
             load_scenario("desk", overrides=["engine.duration=0"])
+
+    # each would hang a run, crash it or run it silently with a NaN
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(duration=math.inf), "[engine] duration"),
+        (dict(duration=math.nan), "[engine] duration"),
+        (dict(overrides=["engine.tick=nan"]), "[engine] tick"),
+        (dict(overrides=["radio.ap_idle_timeout=nan"]),
+         "[radio] ap_idle_timeout"),
+        (dict(overrides=["traffic.interval=nan,100"]), "[traffic] interval"),
+        (dict(overrides=["mobility.walk_speed=1,inf"]),
+         "[mobility] walk_speed"),
+    ], ids=["duration-inf", "duration-nan", "tick", "ap_idle_timeout",
+            "interval", "walk_speed"])
+    def test_non_finite_setting_rejected_by_name(self, kwargs, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_scenario("desk", **kwargs)
+
+    def test_non_finite_config_fails_validation(self):
+        with pytest.raises(ConfigError, match=re.escape("[radio] p_ap")):
+            dataclasses.replace(
+                ScenarioConfig(), radio=dataclasses.replace(
+                    ScenarioConfig().radio, p_ap=math.nan)).validate()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -158,6 +189,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1"],
+        ["batch", "--seeds=-3"],
+        ["sweep", "--param", "copies", "--values", "2", "--base-seed", "-2"],
+    ], ids=["run", "batch", "sweep"])
+    def test_negative_seed_is_an_error_line(self, argv, capsys):
+        command, *rest = argv
+        rc = main([command, "--scenario", "desk", "--duration", "60", *rest])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-negative" in err
+        assert len(err.splitlines()) == 1
 
     def test_unwritable_report_is_reported_not_raised(self, tmp_path, capsys):
         out = tmp_path / "res"
