@@ -50,8 +50,9 @@ from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, RadioState,
                     joiner_bandwidth_estimate, member_bandwidth_estimate,
                     should_switch_ap, step_radio)
 from .rng import Stream
-from .routing import (Buffer, BufferEntry, HasView, PeerSummary, PlannedSend,
-                      RouterPolicy, buffer_admit, make_policy, spray_split)
+from .routing import (Buffer, BufferEntry, HasView, PeerSummary, RouterPolicy,
+                      SendKey, buffer_admit, make_policy, send_key,
+                      spray_split)
 from .scenario import ConfigError, ScenarioConfig
 # perfbench/workloads.py imports apply_sweep_value from here
 from .scenario import apply_sweep_value  # noqa: F401
@@ -136,7 +137,7 @@ class Link:
     def __init__(self, ap: int, client: int):
         self.ap = ap
         self.client = client
-        self.queue: List[Tuple[Tuple, int, int]] = []   # (sort_key, src, msg_id)
+        self.queue: List[Tuple[SendKey, int, int]] = []   # (key, src, msg_id)
         self.queued: Set[Tuple[int, int]] = set()
         self.active: Optional[Transfer] = None
         self.open = True
@@ -824,7 +825,6 @@ class Simulation:
         stepped, live or replayed; the roles a dormant replay jumps over
         are not stepped."""
         assign_channel(())
-        state.clients = {}
         self._push_radio(t + self.config.radio.ap_max_duration, nid, "apcheck")
         self._push_radio(t + self.config.radio.ap_idle_timeout, nid, "apcheck")
 
@@ -1175,10 +1175,10 @@ class Plane:
     `_expire_messages` aborts a message's sends before it drops the
     message's copies.
 
-    Each node's peer view (`summaries`, read through `_summary_of`) is
-    built once, with the plane. That is exact because the plane never
-    rebinds a node's buffer or delivered set, and the view reads both
-    live. The view's `addressed` is the node's list in `addressed`:
+    Each node's peer view (`summaries`) is built once, with the plane.
+    That is exact because the plane never rebinds a node's buffer or
+    delivered set, and the view's `HasView` reads both live at each
+    lookup. The view's `addressed` is the node's list in `addressed`:
     `_inject` appends the id of each message addressed to the node, and
     its first delivery or its expiry takes the id out again, so the list
     grows with the messages in play, not with the run."""
@@ -1197,10 +1197,8 @@ class Plane:
         self.rng_traffic = stream_rng(seed, "traffic")
 
         n = n_nodes
-        # only the spray routers read a buffer's sprayable list
         self.buffers: List[Buffer] = [
-            Buffer(config.routing.buffer_capacity, self.policy.uses_tokens)
-            for _ in range(n)]
+            Buffer(config.routing.buffer_capacity) for _ in range(n)]
         self.refused = [0] * n          # admissions each node turned down
         self.delivered: List[Set[int]] = [set() for _ in range(n)]
         # destination -> ids of its messages that are neither delivered
@@ -1264,15 +1262,17 @@ class Plane:
 
     def _inject(self, msg: Message, t: float) -> None:
         """A new message enters its source's buffer and is offered on the
-        source's open links."""
+        source's open links. Under a spray router the source copy holds
+        the whole budget; epidemic copies carry no tokens."""
         self.collector.on_generated(msg.msg_id)
         self.messages[msg.msg_id] = msg
         self.msg_status[msg.msg_id] = "live"
         self.holders[msg.msg_id] = set()
         self.addressed.setdefault(msg.destination, []).append(msg.msg_id)
         msg.custodians.add(msg.source)
-        ok, evicted = buffer_admit(self.buffers[msg.source], msg,
-                                   msg.copy_limit)
+        ok, evicted = buffer_admit(
+            self.buffers[msg.source], msg,
+            msg.copy_limit if self.policy.uses_tokens else 0)
         heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
         if ok:
             self.holders[msg.msg_id].add(msg.source)
@@ -1315,13 +1315,6 @@ class Plane:
 
     # -- links and transfers -----------------------------------------------------
 
-    def _summary_of(self, nid: int) -> PeerSummary:
-        """nid's peer view: its buffered plus delivered ids, read live
-        rather than copied on every offer check. The view is built once per
-        node, which is exact: the plane never rebinds `buffers[nid]` or
-        `delivered[nid]`, and `HasView` reads both at each lookup."""
-        return self.summaries[nid]
-
     def _establish_link(self, ap: int, client: int, t: float) -> None:
         link = Link(ap, client)
         self.links[ap][client] = link
@@ -1341,15 +1334,17 @@ class Plane:
         """Summary exchange on a link: queue everything each side offers."""
         link.summary_key = self._summary_key(link)
         for src, dst in ((link.ap, link.client), (link.client, link.ap)):
-            peer = self._summary_of(dst)
-            for plan in self.policy.select_transfers(self.buffers[src], peer):
-                self._enqueue(link, src, plan.msg_id, plan.sort_key())
+            for key in self.policy.select_transfers(self.buffers[src],
+                                                    self.summaries[dst]):
+                self._enqueue(link, src, key)
 
     @staticmethod
-    def _enqueue(link: Link, src: int, msg_id: int, sort_key: Tuple) -> None:
-        if (src, msg_id) not in link.queued:
-            heapq.heappush(link.queue, (sort_key, src, msg_id))
-            link.queued.add((src, msg_id))
+    def _enqueue(link: Link, src: int, key: SendKey) -> None:
+        """Queue src's copy of message key[2] unless it is queued."""
+        item = (src, key[2])
+        if item not in link.queued:
+            heapq.heappush(link.queue, (key, src, key[2]))
+            link.queued.add(item)
 
     def _refresh_step(self, t: float) -> None:
         """Long-lived links repeat the anti-entropy exchange periodically,
@@ -1402,11 +1397,9 @@ class Plane:
         if entry is None:
             return
         dst = link.other(src)
-        if not self.policy.eligible(entry, self._summary_of(dst)):
+        if not self.policy.eligible(entry, self.summaries[dst]):
             return
-        self._enqueue(link, src, msg.msg_id,
-                      PlannedSend(msg.msg_id, msg.destination == dst,
-                                  msg.created_at).sort_key())
+        self._enqueue(link, src, send_key(msg, dst))
         if link.active is None:
             self._start_next(link, t)
 
@@ -1440,8 +1433,7 @@ class Plane:
             dst = link.other(src)
             if (dst, mid) in self.in_flight_to:
                 continue    # another sender is already pushing this copy
-            peer = self._summary_of(dst)
-            if not self.policy.eligible(entry, peer):
+            if not self.policy.eligible(entry, self.summaries[dst]):
                 continue
             tr = Transfer(entry.message, src, dst, t, link)
             link.active = tr
@@ -1522,12 +1514,10 @@ class Plane:
             self.holders[msg.msg_id].discard(src)
             self.collector.on_copy_removed(entry, now, "delivered")
         else:
-            tokens = msg.copy_limit
-            if self.policy.uses_tokens:
-                give, keep = spray_split(entry.tokens)
-                self.buffers[src].set_tokens(entry, keep)
-                tokens = give
-            ok, evicted = buffer_admit(self.buffers[dst], msg, tokens)
+            # an epidemic copy holds no tokens: spray_split(0) == (0, 0)
+            give, keep = spray_split(entry.tokens)
+            self.buffers[src].set_tokens(entry, keep)
+            ok, evicted = buffer_admit(self.buffers[dst], msg, give)
             if ok:
                 msg.custodians.add(dst)
                 self.holders[msg.msg_id].add(dst)
@@ -1537,9 +1527,8 @@ class Plane:
                 self._offer_new_message(dst, msg, now)
             else:
                 self.refused[dst] += 1
-                if self.policy.uses_tokens:
-                    # a failed hand-off returns its tokens
-                    self.buffers[src].set_tokens(entry, entry.tokens + tokens)
+                # a failed hand-off returns its tokens
+                self.buffers[src].set_tokens(entry, entry.tokens + give)
                 self._note_copy_gone(msg.msg_id)
             # a refusal bumps refused[dst], so the link's next summary
             # refresh offers the copy to dst again; a re-send at once

@@ -141,7 +141,6 @@ class BusLine:
         self.stops = stops
         self.legs = legs
         self.speed = speed
-        self.stop_wait = stop_wait
         self.vehicles = vehicles
         self.arr = []
         self.dep = []
@@ -264,43 +263,39 @@ def build_profiles(n: int, group_sizes: Sequence[int],
 
 @dataclass
 class DailyPlan:
-    day_start: float
-    depart_house: float
     evening: bool
     evening_stay: float
     evening_group: Optional["EveningGroup"] = None
 
 
-def schedule_day(profile: NodeProfile, day_start: float, rng,
+def schedule_day(profile: NodeProfile, rng,
                  settings: MobilitySettings) -> DailyPlan:
-    """Per-node stochastic plan for one day; group ids are attached later."""
+    """Per-node stochastic plan for one day; groups are attached later.
+    Every node leaves its house at WORK_DEPARTURE each day (see
+    `MobilityModel.initial_wakes` and `_arrive`)."""
     evening = bool(rng.random() < settings.evening_prob)
     stay = float(rng.uniform(*settings.evening_stay))
-    return DailyPlan(day_start, day_start + WORK_DEPARTURE, evening, stay)
+    return DailyPlan(evening, stay)
 
 
 @dataclass
 class EveningGroup:
-    group_id: int
-    spot: PointOfInterest
     members: Tuple[int, ...]
     arrived: set = field(default_factory=set)
-    start: Optional[float] = None
 
 
-def plan_day(profiles: Sequence[NodeProfile], day_start: float, rng,
+def plan_day(profiles: Sequence[NodeProfile], rng,
              settings: MobilitySettings,
              ) -> Tuple[Dict[int, DailyPlan], Dict[int, EveningGroup]]:
     """Plans for every node plus evening groups of size 1-3 formed among
     nodes that share an evening spot and chose to go out today."""
-    plans = {p.node_id: schedule_day(p, day_start, rng, settings)
+    plans = {p.node_id: schedule_day(p, rng, settings)
              for p in sorted(profiles, key=lambda p: p.node_id)}
     by_spot: Dict[int, List[int]] = {}
     for p in sorted(profiles, key=lambda p: p.node_id):
         if plans[p.node_id].evening:
             by_spot.setdefault(p.evening_spot.poi_id, []).append(p.node_id)
     groups: Dict[int, EveningGroup] = {}
-    spot_by_id = {p.evening_spot.poi_id: p.evening_spot for p in profiles}
     gid = 0
     lo, hi = settings.evening_group_size
     for spot_id in sorted(by_spot):
@@ -309,7 +304,7 @@ def plan_day(profiles: Sequence[NodeProfile], day_start: float, rng,
             size = int(rng.integers(lo, hi + 1))
             members = tuple(queue[:size])
             queue = queue[size:]
-            group = EveningGroup(gid, spot_by_id[spot_id], members)
+            group = EveningGroup(members)
             groups[gid] = group
             for m in members:
                 plans[m].evening_group = group
@@ -417,7 +412,6 @@ class MobilityModel:
             p.node_id: NodeMobility(p) for p in profiles}
         self.profiles = list(profiles)
         self.plans: Dict[int, DailyPlan] = {}
-        self.groups: Dict[int, EveningGroup] = {}
         w, h = graph.bounds
         self.bounds = (w, h)
         self.log: Optional[List] = None   # (time, node, activity) probe
@@ -425,9 +419,8 @@ class MobilityModel:
     # -- day planning -------------------------------------------------------
 
     def begin_day(self, day_index: int) -> None:
-        day_start = day_index * DAY
-        self.plans, self.groups = plan_day(self.profiles, day_start,
-                                           self.rng, self.settings)
+        """Draw the plans of day `day_index`; every day is drawn alike."""
+        self.plans = plan_day(self.profiles, self.rng, self.settings)[0]
 
     def initial_wakes(self) -> List[Tuple[float, int]]:
         """All nodes start the first day parked at their houses."""
@@ -550,7 +543,6 @@ class MobilityModel:
             group = plan.evening_group
             group.arrived.add(profile.node_id)
             if len(group.arrived) == len(group.members):
-                group.start = now
                 for member in group.members:
                     stay = self.plans[member].evening_stay
                     extras.append((now + stay, member))

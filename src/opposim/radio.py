@@ -113,20 +113,16 @@ def joiner_bandwidth_estimate(link: LinkModel, co_channel_count: int,
     return link.base_speed / max(1, co_channel_count) / (current_clients + 1)
 
 
-def best_ap(visible: Sequence[VisibleAp]) -> Optional[VisibleAp]:
-    return visible[0] if visible else None
-
-
 def step_radio(state: RadioState, permits_ap: bool,
                visible: Sequence[VisibleAp], now: float,
                timing: TimingParams) -> None:
     """Advance an unconnected node whose phase timer has expired.
 
-    A rest ends in a scan. Scan results in hand: connect to the fastest
-    AP, else claim the AP role if the routing policy permits it here, else
-    rest and rescan. A node finishing its become-AP transition defers to
-    an AP that appeared in the meantime, so co-located nodes don't all end
-    up as client-less APs.
+    A rest ends in a scan. Scan results in hand (`visible`, fastest
+    first): connect to the fastest AP, else claim the AP role if the
+    routing policy permits it here, else rest and rescan. A node finishing
+    its become-AP transition defers to an AP that appeared in the
+    meantime, so co-located nodes don't all end up as client-less APs.
     """
     phase = state.phase
     if phase is RESTING:
@@ -135,10 +131,9 @@ def step_radio(state: RadioState, permits_ap: bool,
         return
     if phase is not SCANNING and phase is not BECOMING_AP:
         raise ValueError(f"step_radio called in phase {phase}")
-    target = best_ap(visible)
-    if target is not None:
+    if visible:
         state.phase = CONNECTING
-        state.connect_target = target.node_id
+        state.connect_target = visible[0].node_id
         state.timer_expiry = now + timing.t_connect
     elif phase is BECOMING_AP:
         state.phase = AP

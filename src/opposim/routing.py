@@ -2,7 +2,8 @@
 
 A router decides what crosses a link. Three share one machinery:
 
-* epidemic      -- hand every message to every peer that never had it.
+* epidemic      -- hand every message to every peer that never had it;
+                   its copies carry no tokens.
 * snw           -- binary spray-and-wait: a copy carries a token budget,
                    halved toward each new custodian; a single-token copy
                    waits for the destination.
@@ -20,7 +21,6 @@ such history and offers a copy again to a peer that has lost its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,27 +55,22 @@ class Buffer:
     Entries keep insertion (receipt) order; eviction removes the oldest
     unpinned entries first.
 
-    With `spray_index`, `sprayable` lists each entry with at least
-    SPRAY_MIN_TOKENS tokens, each once and in no particular order: the
-    only copies a spray router may hand to a peer that is not their
-    destination. Admission, removal, eviction and `set_tokens` keep it,
-    so tokens change only through `set_tokens`. A buffer without the
-    index, for a router that ignores tokens, keeps the list empty. It is
-    a list rather than a dict because it holds a few entries and a list
-    takes a third of the memory; a removal walks it.
+    `sprayable` lists each entry with at least SPRAY_MIN_TOKENS tokens,
+    each once and in no particular order: the only copies a spray router
+    may hand to a peer that is not their destination. Admission, removal,
+    eviction and `set_tokens` keep it, so tokens change only through
+    `set_tokens`. Epidemic copies carry no tokens, so under flooding the
+    list stays empty. It is a list rather than a dict because it holds a
+    few entries and a list takes a third of the memory; a removal walks it.
     """
 
     # a plane holds one buffer per node
-    __slots__ = ("capacity", "entries", "sprayable", "_spray_min", "used",
-                 "version")
+    __slots__ = ("capacity", "entries", "sprayable", "used", "version")
 
-    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY,
-                 spray_index: bool = True):
+    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
         self.capacity = int(capacity)
         self.entries: Dict[int, BufferEntry] = {}
         self.sprayable: List[BufferEntry] = []
-        # no copy holds infinitely many tokens
-        self._spray_min = SPRAY_MIN_TOKENS if spray_index else math.inf
         self.used = 0
         # bumped whenever the set of buffered ids changes; token and pin
         # changes leave it alone
@@ -103,9 +98,9 @@ class Buffer:
 
     def set_tokens(self, entry: BufferEntry, tokens: int) -> None:
         """Give a buffered copy a new token count."""
-        listed = entry.tokens >= self._spray_min
+        listed = entry.tokens >= SPRAY_MIN_TOKENS
         entry.tokens = tokens
-        if tokens >= self._spray_min:
+        if tokens >= SPRAY_MIN_TOKENS:
             if not listed:
                 self.sprayable.append(entry)
         elif listed:
@@ -113,7 +108,7 @@ class Buffer:
 
     def _unlist(self, entry: BufferEntry) -> None:
         """Drop a copy that left the buffer from `sprayable`."""
-        if entry.tokens >= self._spray_min:
+        if entry.tokens >= SPRAY_MIN_TOKENS:
             self.sprayable.remove(entry)
 
 
@@ -185,14 +180,14 @@ class PeerSummary:
     addressed: Sequence[int]
 
 
-@dataclass(frozen=True)
-class PlannedSend:
-    msg_id: int
-    direct: bool       # peer is the destination
-    created_at: float
+SendKey = Tuple[int, float, int]
 
-    def sort_key(self):
-        return (0 if self.direct else 1, self.created_at, self.msg_id)
+
+def send_key(message: Message, peer_id: int) -> SendKey:
+    """Where a send of `message` to `peer_id` sits in a link's queue:
+    destination-bound first, then oldest first; the id makes keys unique."""
+    return (0 if message.destination == peer_id else 1, message.created_at,
+            message.msg_id)
 
 
 def spray_split(tokens: int) -> Tuple[int, int]:
@@ -208,16 +203,18 @@ def spray_split(tokens: int) -> Tuple[int, int]:
 class RouterPolicy:
     """Forwarding contract shared by the simulation engine.
 
-    select_transfers orders what to send over a fresh or refreshed link;
-    eligible re-checks one queued copy when it is offered or about to be
-    sent; uses_tokens switches the spray custody accounting on; home_gate
+    select_transfers gives the sorted `send_key`s of what to send over a
+    fresh or refreshed link; eligible re-checks one queued copy when it is
+    offered or about to be sent; uses_tokens gives a new message's source
+    copy its spray budget and turns the custody accounting on; home_gate
     tells the world to let a node take the AP role only at home."""
 
     name = "base"
     uses_tokens = False
     home_gate = False
 
-    def select_transfers(self, local: Buffer, peer: PeerSummary) -> List[PlannedSend]:
+    def select_transfers(self, local: Buffer,
+                         peer: PeerSummary) -> List[SendKey]:
         raise NotImplementedError
 
     def eligible(self, entry: BufferEntry, peer: PeerSummary) -> bool:
@@ -237,17 +234,13 @@ class EpidemicPolicy(RouterPolicy):
     name = "epidemic"
 
     def select_transfers(self, local, peer):
-        """Every copy the rule lets go to the peer: destination-bound
-        first, then oldest first."""
+        """Every copy the rule lets go to the peer, in queue order."""
         forwards = self._forwards
         dst = peer.node_id
-        plans = [PlannedSend(entry.message.msg_id,
-                             entry.message.destination == dst,
-                             entry.message.created_at)
-                 for entry in local.entries.values()
-                 if forwards(entry, peer)]
-        plans.sort(key=PlannedSend.sort_key)
-        return plans
+        keys = [send_key(entry.message, dst)
+                for entry in local.entries.values() if forwards(entry, peer)]
+        keys.sort()
+        return keys
 
     def eligible(self, entry, peer):
         return self._forwards(entry, peer)
@@ -276,17 +269,17 @@ class SprayAndWaitPolicy(EpidemicPolicy):
         forwards = self._forwards
         dst = peer.node_id
         entries = local.entries
-        plans = []
+        keys = []
         for mid in peer.addressed:
             entry = entries.get(mid)
             if entry is not None and forwards(entry, peer):
-                plans.append(PlannedSend(mid, True, entry.message.created_at))
+                keys.append(send_key(entry.message, dst))
         for entry in local.sprayable:
             m = entry.message
             if m.destination != dst and forwards(entry, peer):
-                plans.append(PlannedSend(m.msg_id, False, m.created_at))
-        plans.sort(key=PlannedSend.sort_key)
-        return plans
+                keys.append(send_key(m, dst))
+        keys.sort()
+        return keys
 
     @staticmethod
     def _forwards(entry, peer):

@@ -161,7 +161,7 @@ def _fmt_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():
         return str(int(value))
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt_value(v) for v in value)

@@ -97,9 +97,10 @@ def recount_planes(sim, t):
     receiver or expired. Each node's cached peer view is its own, reads its
     live buffer and delivered set and lists, in creation order, the ids of
     the messages addressed to it that are neither delivered nor expired;
-    under a spray router each buffer's sprayable list holds its copies with
-    SPRAY_MIN_TOKENS tokens or more, each once, and under epidemic it is
-    empty. Refresh times never decrease, and with refreshes on each open
+    each buffer's sprayable list holds its copies with SPRAY_MIN_TOKENS
+    tokens or more, each once; under epidemic no copy holds a token and
+    the list is empty. Each open link's `queued` holds the (src, msg_id)
+    of its queue's entries, each once. Refresh times never decrease, and with refreshes on each open
     link has exactly one pending."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
                if st.phase is Phase.CLIENT}
@@ -117,12 +118,15 @@ def recount_planes(sim, t):
             assert view.has.delivered is plane.delivered[nid]
             assert view.addressed is plane.addressed[nid]
             assert view.addressed == addressed.get(nid, []), (t, nid)
-        spray_min = SPRAY_MIN_TOKENS if plane.policy.uses_tokens else math.inf
         for nid, buf in enumerate(plane.buffers):
             listed = {id(e) for e in buf.sprayable}
             assert len(listed) == len(buf.sprayable), (t, nid)
             assert listed == {id(e) for e in buf.entries.values()
-                              if e.tokens >= spray_min}, (t, nid)
+                              if e.tokens >= SPRAY_MIN_TOKENS}, (t, nid)
+            if not plane.policy.uses_tokens:
+                # epidemic copies carry no tokens, so none is listed
+                assert not listed, (t, nid)
+                assert not any(e.tokens for e in buf.entries.values()), t
         links = {id(link): link for ends in plane.links
                  for link in ends.values()}.values()
         times = [time for time, _ in plane.refresh_events]
@@ -136,6 +140,8 @@ def recount_planes(sim, t):
             assert link.open
             assert plane.links[link.ap][link.client] is link
             assert plane.links[link.client][link.ap] is link
+            assert link.queued == {(src, mid) for _, src, mid in link.queue}
+            assert len(link.queued) == len(link.queue), t
         sends = [link.active for link in links if link.active is not None]
         assert plane.in_flight_to == {(tr.dst, tr.msg.msg_id) for tr in sends}
         forwards = plane.policy._forwards
@@ -1021,7 +1027,7 @@ class SpyPolicy(EpidemicPolicy):
 
     def select_transfers(self, local, peer):
         plans = super().select_transfers(local, peer)
-        self.scans.append((local, peer.node_id, [p.msg_id for p in plans]))
+        self.scans.append((local, peer.node_id, [key[2] for key in plans]))
         return plans
 
     def scans_by_node(self, sim):

@@ -118,16 +118,16 @@ class TestDailyPlan:
 
     def test_departure_and_work_block(self):
         _, model = simple_world()
-        prof = model.profiles[0]
-        plan = schedule_day(prof, 0.0, rng(1), model.settings)
-        assert plan.depart_house == 8 * 3600.0
+        wakes = model.initial_wakes()
+        assert sorted(nid for _, nid in wakes) == sorted(model.nodes)
+        assert all(t == 8 * 3600.0 for t, _ in wakes)
 
     def test_evening_stay_range(self):
         _, model = simple_world()
         prof = model.profiles[0]
         g = rng(2)
         for _ in range(200):
-            plan = schedule_day(prof, 0.0, g, model.settings)
+            plan = schedule_day(prof, g, model.settings)
             assert 3600.0 <= plan.evening_stay <= 7200.0
 
     def test_groups_share_spot_and_sizes(self):
@@ -141,7 +141,7 @@ class TestDailyPlan:
                     for i in range(10)]
         settings = MobilitySettings(group_sizes=(10, 0, 0, 0, 0),
                                     evening_prob=1.0)
-        plans, groups = plan_day(profiles, 0.0, rng(3), settings)
+        plans, groups = plan_day(profiles, rng(3), settings)
         assert all(plans[i].evening_group is not None for i in range(10))
         for group in groups.values():
             assert 1 <= len(group.members) <= 3
@@ -154,7 +154,7 @@ class TestDailyPlan:
         prof = model.profiles[0]
         g = rng(4)
         n = 2000
-        hits = sum(schedule_day(prof, 0.0, g, model.settings).evening
+        hits = sum(schedule_day(prof, g, model.settings).evening
                    for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(hits - n * 0.5) <= 3 * sigma

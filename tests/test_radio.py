@@ -3,7 +3,7 @@ import pytest
 from opposim.engine import Simulation
 from opposim.radio import (
     LinkModel, Phase, RadioState, TimingParams, VisibleAp,
-    ap_due_retirement, assign_channel, best_ap, effective_bandwidth,
+    ap_due_retirement, assign_channel, effective_bandwidth,
     joiner_bandwidth_estimate, net_initiate_time, net_reinitiate_time,
     should_switch_ap, step_radio,
 )
@@ -90,7 +90,10 @@ class TestScan:
                           2: ((7.0, 0.0), 0)})
         vis = sim._visible_aps(0)
         assert [v.node_id for v in vis] == [2, 4, 9]
-        assert best_ap(vis).node_id == 2
+        state = RadioState()
+        state.phase = Phase.SCANNING
+        step_radio(state, True, vis, now=5.0, timing=DEFAULTS)
+        assert state.connect_target == 2
 
 
 class TestStepRadio:

@@ -5,8 +5,8 @@ import pytest
 
 from opposim.engine import Simulation
 from opposim.routing import (
-    SPRAY_MIN_TOKENS, Buffer, HasView, PeerSummary, PlannedSend, RoutingError,
-    buffer_admit, make_policy, spray_split,
+    SPRAY_MIN_TOKENS, Buffer, HasView, PeerSummary, RoutingError,
+    buffer_admit, make_policy, send_key, spray_split,
 )
 from opposim.scenario import RadioConfig, RoutingConfig, ScenarioConfig
 from opposim.traffic import Message, TrafficConfig
@@ -94,15 +94,6 @@ class TestBufferAdmit:
         b.remove(2)
         assert b.sprayable == []
 
-    def test_unindexed_buffer_lists_nothing(self):
-        # a router that ignores tokens reads no sprayable list
-        b = Buffer(2 * MB, spray_index=False)
-        buffer_admit(b, msg(1), 10)
-        b.set_tokens(b.get(1), 4)
-        buffer_admit(b, msg(2), 10)
-        buffer_admit(b, msg(3), 10)                  # evicts copy 1
-        b.remove(2)
-        assert b.sprayable == [] and b.ids() == [3]
 
 
 def far_apart(n, traffic=None):
@@ -152,7 +143,7 @@ class TestSummaryExchange:
         sim = far_apart(2)
         buffer_admit(sim.buffers[0], msg(1), 10)
         buffer_admit(sim.buffers[1], msg(2), 10)
-        view_b, view_a = sim._summary_of(1), sim._summary_of(0)
+        view_b, view_a = sim.summaries[1], sim.summaries[0]
         assert view_b.node_id == 1 and view_a.node_id == 0
         assert 2 in view_b.has and 1 not in view_b.has
         assert 1 in view_a.has and 2 not in view_a.has
@@ -161,13 +152,13 @@ class TestSummaryExchange:
         sim = far_apart(2)
         for b in sim.buffers:
             buffer_admit(b, msg(1), 10)
-        peer = sim._summary_of(1)
+        peer = sim.summaries[1]
         assert EPIDEMIC.select_transfers(sim.buffers[0], peer) == []
 
     def test_delivered_ids_count_as_has(self):
         sim = far_apart(2)
         buffer_admit(sim.buffers[0], msg(3, dst=1), 10)
-        peer = sim._summary_of(1)
+        peer = sim.summaries[1]
         assert len(EPIDEMIC.select_transfers(sim.buffers[0], peer)) == 1
         sim.delivered[1].add(3)
         assert EPIDEMIC.select_transfers(sim.buffers[0], peer) == []
@@ -181,8 +172,8 @@ class TestEpidemicSelect:
         buffer_admit(b, m1, 10)
         buffer_admit(b, m2, 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(11, frozenset(), [2]))
-        assert [p.msg_id for p in plans] == [2, 1]
-        assert plans[0].direct and not plans[1].direct
+        assert [key[2] for key in plans] == [2, 1]
+        assert plans[0][0] == 0 and plans[1][0] == 1
 
     def test_peer_lacking_nothing(self):
         b = Buffer()
@@ -198,14 +189,14 @@ class TestEpidemicSelect:
         m1.custodians.update({0, 5})
         buffer_admit(b, m1, 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset(), []))
-        assert [p.msg_id for p in plans] == [1]
+        assert [key[2] for key in plans] == [1]
 
     def test_oldest_first_within_class(self):
         b = Buffer()
         for mid, created in ((1, 30.0), (2, 10.0), (3, 20.0)):
             buffer_admit(b, msg(mid, dst=99, created=created), 10)
         plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset(), []))
-        assert [p.msg_id for p in plans] == [2, 3, 1]
+        assert [key[2] for key in plans] == [2, 3, 1]
 
 
 class TestSnwSelect:
@@ -226,7 +217,7 @@ class TestSnwSelect:
         b = Buffer()
         buffer_admit(b, msg(1, dst=5), tokens=1)
         plans = SNW.select_transfers(b, PeerSummary(5, frozenset(), [1]))
-        assert [p.msg_id for p in plans] == [1] and plans[0].direct
+        assert [key[2] for key in plans] == [1] and plans[0][0] == 0
 
     def test_seen_peer_not_sprayed(self):
         b = Buffer()
@@ -276,7 +267,7 @@ def test_spray_rule_order_keeps_the_lookup_first_answers():
         want = lookup_first_spray_rule(entry, peer)
         assert policy.eligible(entry, peer) is want, case
         plans = policy.select_transfers(local, peer)
-        assert [(p.msg_id, p.direct) for p in plans] == (
+        assert [(key[2], key[0] == 0) for key in plans] == (
             [(1, to_peer)] if want else []), case
     # seeded random multi-entry buffers: the plans drawn from the indexes
     # are the rule asked about every copy, in sort order
@@ -322,10 +313,7 @@ def check_spray_plans_against_full_scan(policy, seed):
     going = [e for e in local.entries.values() if policy._forwards(e, peer)]
     assert going == [e for e in local.entries.values()
                      if lookup_first_spray_rule(e, peer)]
-    want = sorted((PlannedSend(e.message.msg_id,
-                               e.message.destination == peer_id,
-                               e.message.created_at) for e in going),
-                  key=PlannedSend.sort_key)
+    want = sorted(send_key(e.message, peer_id) for e in going)
     assert policy.select_transfers(local, peer) == want, (policy.name, seed)
 
 

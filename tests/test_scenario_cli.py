@@ -100,6 +100,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_scenario("desk", **kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    def test_non_finite_config_serializes(self, tmp_path, value):
+        # a config built in code writes out; loading it back names the key
+        path = tmp_path / "scenario.ini"
+        path.write_text(serialize_scenario(dataclasses.replace(
+            ScenarioConfig(), duration=value)), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("[engine] duration")):
+            load_scenario(str(path))
+
     def test_non_finite_config_fails_validation(self):
         with pytest.raises(ConfigError, match=re.escape("[radio] p_ap")):
             dataclasses.replace(
