@@ -129,7 +129,12 @@ class Transfer:
 
 
 class Link:
-    """Established AP-client association carrying transfers both ways."""
+    """Established AP-client association carrying transfers both ways.
+
+    `summary_key` is the sum of both ends' `Buffer.version` and refusal
+    counts at the last summary exchange. Each of the four counts only
+    grows, so the sum moves exactly when one of them moves: one int tells
+    a refresh what the four counts would."""
 
     __slots__ = ("ap", "client", "queue", "queued", "active", "open",
                  "summary_key")
@@ -141,9 +146,7 @@ class Link:
         self.queued: Set[Tuple[int, int]] = set()
         self.active: Optional[Transfer] = None
         self.open = True
-        # both ends' buffer versions and refusal counts at the last summary
-        # exchange; a refresh rescans only when this has moved
-        self.summary_key: Optional[Tuple[int, int, int, int]] = None
+        self.summary_key = -1     # no exchange yet; a key is never negative
 
     def other(self, nid: int) -> int:
         return self.client if nid == self.ap else self.ap
@@ -472,14 +475,25 @@ class Simulation:
                 if isinstance(self.model, StaticMobility):
                     self.model.positions[nid] = tuple(newpos)
                 self._apply_move(nid, tuple(newpos), t)
+            # a plane step runs only when the head of its queue is due; the
+            # step's own loop asks the same of every later entry
             for plane in planes:
-                plane._expire_messages(t)
-                plane._create_traffic(t)
+                ttl = plane.ttl_events
+                if ttl and ttl[0][0] < t:
+                    plane._expire_messages(t)
+                due = plane.next_create
+                if due is not None and due <= t:
+                    plane._create_traffic(t)
             self._mobility_step(t)
             self._radio_step(t)
+            window_end = (n + 1) * tick
             for plane in planes:
-                plane._refresh_step(t)
-                plane._transfer_step(t, (n + 1) * tick)
+                refresh = plane.refresh_events
+                if refresh and refresh[0][0] <= t:
+                    plane._refresh_step(t)
+                sends = plane.transfer_events
+                if sends and sends[0][0] <= window_end:
+                    plane._transfer_step(t, window_end)
             if t >= self._next_audit:
                 # the auditors see dormant nodes and skipped movers as the
                 # live loop has them
@@ -518,7 +532,9 @@ class Simulation:
                     return n + 1
                 horizon = min(horizon, heap[0][0])
         for plane in self.planes:
-            horizon = min(horizon, plane._horizon(tick))
+            due = plane._horizon(tick)
+            if due < horizon:
+                horizon = due
         return max(n + 1, _tick_index(horizon, tick))
 
     # -- mobility ------------------------------------------------------------------
@@ -673,7 +689,14 @@ class Simulation:
         if new_cell != old_cell:
             self._bump_cell(new_cell)
         if is_ap:
-            left = self._set_ap_near(nid, self._neighbors(nid, self.ap_grid))
+            near = self._neighbors(nid, self.ap_grid)
+            if (not near and not self.ap_near[nid]
+                    and not self.radio[nid].clients):
+                # a lonely AP: no link to check, and no AP whose rate or
+                # neighbour set it changes; with no client no plane has a
+                # send of it to settle
+                return
+            left = self._set_ap_near(nid, near)
         self._check_links_of(nid, t)
         if is_ap:
             # a moving AP drags co-channel interference along with it: to
@@ -1238,14 +1261,18 @@ class Plane:
         `finish - tick`: the tick whose window (t, t + tick] first holds its
         finish, so it completes before that tick's radio step whichever
         ticks other events make the loop visit."""
-        horizon = math.inf
-        for queue in (self.ttl_events, self.refresh_events):
-            if queue:
-                horizon = min(horizon, queue[0][0])
-        if self.transfer_events:
-            horizon = min(horizon, self.transfer_events[0][0] - tick)
-        if self.next_create is not None:
-            horizon = min(horizon, self.next_create)
+        horizon = self.next_create
+        if horizon is None:
+            horizon = math.inf
+        ttl = self.ttl_events
+        if ttl and ttl[0][0] < horizon:
+            horizon = ttl[0][0]
+        refresh = self.refresh_events
+        if refresh and refresh[0][0] < horizon:
+            horizon = refresh[0][0]
+        sends = self.transfer_events
+        if sends and sends[0][0] - tick < horizon:
+            horizon = sends[0][0] - tick
         return horizon
 
     # -- traffic -----------------------------------------------------------------
@@ -1325,10 +1352,12 @@ class Plane:
             self.refresh_events.append((t + refresh, link))
         self._start_next(link, t)
 
-    def _summary_key(self, link: Link) -> Tuple[int, int, int, int]:
+    def _summary_key(self, link: Link) -> int:
+        """The link's `summary_key` as of now (see `Link`)."""
         ap, client = link.ap, link.client
-        return (self.buffers[ap].version, self.buffers[client].version,
-                self.refused[ap], self.refused[client])
+        buffers, refused = self.buffers, self.refused
+        return (buffers[ap].version + buffers[client].version
+                + refused[ap] + refused[client])
 
     def _select_into(self, link: Link, t: float) -> None:
         """Summary exchange on a link: queue everything each side offers."""
@@ -1351,9 +1380,11 @@ class Plane:
         re-offering anything the peer dropped since the last pass.
 
         A pass rescans only when `Link.summary_key` moved: a buffer's id
-        set changed, or an end refused an admission. Otherwise a rescan
-        would queue nothing new, because everything else select_transfers
-        reads either only grows or is re-offered at once:
+        set changed, or an end refused an admission. The key is one int,
+        the sum of four counts that only grow, so it moves exactly when
+        one of them does. Otherwise a rescan would queue nothing new,
+        because everything else select_transfers reads either only grows
+        or is re-offered at once:
 
         - custodians and delivered ids only grow, and growth only removes
           offers;
@@ -1365,7 +1396,8 @@ class Plane:
           dst comes back through dst's version (admitted), its refusal
           count (refused) or _offer_inbound (aborted).
 
-        The queue is served on every pass.
+        The queue is served on every pass that finds it non-empty; serving
+        an empty queue starts nothing.
 
         `refresh_events` is a FIFO of (time, link). Every refresh is
         queued at `summary_refresh` after the tick that queues it, and
@@ -1373,13 +1405,15 @@ class Plane:
         the order of a heap keyed by time and then push order."""
         events = self.refresh_events
         interval = self.config.routing.summary_refresh
+        summary_key = self._summary_key
         while events and events[0][0] <= t:
             _, link = events.popleft()
             if not link.open:
                 continue
-            if link.summary_key != self._summary_key(link):
+            if link.summary_key != summary_key(link):
                 self._select_into(link, t)
-            self._start_next(link, t)
+            if link.queue:
+                self._start_next(link, t)
             events.append((t + interval, link))
 
     def _close_link(self, link: Link, t: float) -> None:

@@ -9,6 +9,7 @@ bus stops) are anchored to graph vertices inside named map segments.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -127,7 +128,6 @@ def shortest_path(graph: RoadGraph, src: int, dst: int) -> Optional[Path]:
         return result
     # Dijkstra with (distance, path-so-far) keys: the heap order delivers the
     # lexicographically smallest sequence among equal-length alternatives.
-    import heapq
     best: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
     heap: List[Tuple[float, Tuple[int, ...]]] = [(0.0, (src,))]
     result = None
@@ -263,22 +263,24 @@ def synth_map(width: float, height: float, grid_step: float, seed: int,
         adj[b].add(a)
 
     def connected_without(a, b) -> bool:
+        # The graph is connected before each removal, so without (a, b) it
+        # stays connected exactly when b is still reachable from a: every
+        # vertex reaches a or b without the edge. The search stops there.
         adj[a].discard(b)
         adj[b].discard(a)
-        # BFS from a; must still reach b and every vertex.
         seen = {a}
         stack = [a]
         while stack:
             v = stack.pop()
             for w in adj[v]:
+                if w == b:
+                    return True
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        ok = len(seen) == len(coords)
-        if not ok:
-            adj[a].add(b)
-            adj[b].add(a)
-        return ok
+        adj[a].add(b)
+        adj[b].add(a)
+        return False
 
     order = rng.permutation(len(edges))
     marks = rng.random(len(edges))

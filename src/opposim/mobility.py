@@ -268,11 +268,11 @@ class DailyPlan:
     evening_group: Optional["EveningGroup"] = None
 
 
-def schedule_day(profile: NodeProfile, rng,
-                 settings: MobilitySettings) -> DailyPlan:
-    """Per-node stochastic plan for one day; groups are attached later.
-    Every node leaves its house at WORK_DEPARTURE each day (see
-    `MobilityModel.initial_wakes` and `_arrive`)."""
+def schedule_day(rng, settings: MobilitySettings) -> DailyPlan:
+    """One node's stochastic plan for one day; groups are attached later.
+    Every node's day is drawn alike, and every node leaves its house at
+    WORK_DEPARTURE each day (see `MobilityModel.initial_wakes` and
+    `_arrive`)."""
     evening = bool(rng.random() < settings.evening_prob)
     stay = float(rng.uniform(*settings.evening_stay))
     return DailyPlan(evening, stay)
@@ -289,7 +289,7 @@ def plan_day(profiles: Sequence[NodeProfile], rng,
              ) -> Tuple[Dict[int, DailyPlan], Dict[int, EveningGroup]]:
     """Plans for every node plus evening groups of size 1-3 formed among
     nodes that share an evening spot and chose to go out today."""
-    plans = {p.node_id: schedule_day(p, rng, settings)
+    plans = {p.node_id: schedule_day(rng, settings)
              for p in sorted(profiles, key=lambda p: p.node_id)}
     by_spot: Dict[int, List[int]] = {}
     for p in sorted(profiles, key=lambda p: p.node_id):
@@ -419,7 +419,9 @@ class MobilityModel:
     # -- day planning -------------------------------------------------------
 
     def begin_day(self, day_index: int) -> None:
-        """Draw the plans of day `day_index`; every day is drawn alike."""
+        """Draw the plans of day `day_index`. Every day is drawn alike, so
+        the index is not read; the engine's clock passes it, and the
+        engine's static stand-in offers the same method."""
         self.plans = plan_day(self.profiles, self.rng, self.settings)[0]
 
     def initial_wakes(self) -> List[Tuple[float, int]]:

@@ -659,6 +659,44 @@ class TestEngineInvariants:
                 assert rep.overhead_ratio >= 0.0
 
 
+class TestLonelyMovingAp:
+    def test_ap_walks_past_a_busy_ap(self):
+        # AP 0 sends to its client 1 all the time. AP 2 has no client and
+        # walks in 5-10 m steps from afar into range of AP 0 (20 m) and out
+        # again, never within range of client 1: each step before and
+        # after is a lonely AP's move, which changes nothing around it
+        cfg = scripted_config(duration=60.0, window=(0.0, 60.0),
+                              interval=(1.0, 1.0))
+        cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(
+            cfg.traffic, size_range=(10 * MB, 10 * MB)))
+        xs = [100, 90, 80, 70, 60, 50, 40, 30, 25, 18, 12, 18, 25, 30, 40,
+              50, 60, 70]
+        moves = [(20.0 + k, 2, (float(x), 5.0)) for k, x in enumerate(xs)]
+        seen = {}
+
+        def record(sim, t):
+            plane = sim.planes[0]
+            rates = {tr.rate for tr in plane.ap_active.get(0, ())}
+            seen[t] = (sorted(sim.ap_near[0]), sorted(sim.ap_near[2]),
+                       rates, sim.radio[2].phase)
+
+        sim = Simulation(cfg, 1, static_positions=[(0.0, 0.0), (-15.0, 0.0),
+                                                   (110.0, 5.0)],
+                         ap_gate={0: True, 1: False, 2: True},
+                         scripted_moves=moves,
+                         auditors=[recount_world, recount_planes, record],
+                         audit_interval=1.0)
+        sim.run()
+        enter, leave = 29.0, 32.0       # x = 18 and x = 25
+        full, shared = {5 * MB}, {2.5 * MB}
+        assert all(seen[t][3] is Phase.AP for t in range(20, 38))
+        assert all(seen[t][:3] == ([], [], full) for t in range(20, 29))
+        assert seen[enter][:3] == ([2], [0], shared)
+        assert seen[enter + 1][:3] == seen[enter + 2][:3] == ([2], [0], shared)
+        assert seen[leave][:3] == ([], [], full)
+        assert all(seen[t][:3] == ([], [], full) for t in range(32, 38))
+
+
 class PollingSimulation(Simulation):
     """The world with the client rescan loop that sleeping clients
     replaced: a CLIENT whose rescan finds nothing changed polls again
@@ -1098,6 +1136,62 @@ class TestSummaryRefresh:
         assert buffer_admit(sim.buffers[1], extra, 10)[0]
         sim._refresh_step(2 * refresh)
         assert sorted(spy.scans_by_node(sim)) == [(0, 1, []), (1, 0, [1])]
+
+
+class RescanPlane(Plane):
+    """The routing plane with the refresh loop that `Link.summary_key`
+    replaced: every refresh rescans both sides of its link and serves the
+    queue. It counts the refreshes whose key had not moved."""
+
+    unmoved = 0
+
+    def _refresh_step(self, t):
+        events = self.refresh_events
+        interval = self.config.routing.summary_refresh
+        while events and events[0][0] <= t:
+            _, link = events.popleft()
+            if not link.open:
+                continue
+            self.unmoved += link.summary_key == self._summary_key(link)
+            self._select_into(link, t)
+            self._start_next(link, t)
+            events.append((t + interval, link))
+
+
+class RescanSimulation(Simulation):
+    """The world whose routing planes rescan on every refresh."""
+
+    def add_plane(self, config):
+        plane = super().add_plane(config)
+        plane.__class__ = RescanPlane
+        return plane
+
+
+class TestRefreshRescan:
+    """Refreshes that rescan only when the summary key moved give the
+    reports of refreshes that always rescan."""
+
+    @pytest.mark.parametrize("router,tick,capacity", [
+        ("snw", 1, None),
+        ("hrson", 1, 200_000),
+        ("epidemic", 1, 200_000),
+        ("snw", 0.3, 200_000),
+        ("hrson", 0.3, None),
+        ("epidemic", 0.3, 200_000),
+    ])
+    def test_reports_equal_rescanning_refreshes(self, router, tick, capacity):
+        # a 200 kB buffer holds one copy, so admissions are refused and
+        # the refusal counts move the key
+        overrides = [f"engine.tick={tick}"]
+        if capacity is not None:
+            overrides.append(f"routing.buffer_capacity={capacity}")
+        cfg = load_scenario("desk", router=router, duration=36000.0,
+                            overrides=overrides)
+        sim, rescan = Simulation(cfg, 7), RescanSimulation(cfg, 7)
+        assert sim.run() == rescan.run()
+        plane = rescan.planes[0]
+        assert plane.unmoved > 100
+        assert (sum(plane.refused) > 0) == (capacity is not None)
 
 
 class TestTransferTick:

@@ -8,6 +8,8 @@ from opposim.map_graph import (
     MapError, PoiKind, RoadGraph, SegmentLayout, parse_map, place_pois,
     serialize_map, shortest_path, synth_map, validate_graph,
 )
+from opposim.rng import Stream
+from opposim.scenario import PRESET_NAMES, load_scenario
 
 
 def enumerate_paths(adj, src, dst, path=None, seen=None):
@@ -104,6 +106,74 @@ class TestSynthMap:
             synth_map(10, 10, 50, seed=1)   # single vertex
         with pytest.raises(MapError):
             synth_map(0, 100, 50, seed=1)
+
+
+def full_search_synth_map(width, height, grid_step, seed, edge_removal):
+    """Reference for synth_map: the same grid and draws, but each candidate
+    removal searches the whole graph and keeps the edge unless every
+    vertex is still reached."""
+    cols = int(width // grid_step) + 1
+    rows = int(height // grid_step) + 1
+    coords = [(i * grid_step, j * grid_step)
+              for j in range(rows) for i in range(cols)]
+    edges = []
+    for j in range(rows):
+        for i in range(cols):
+            if i + 1 < cols:
+                edges.append((j * cols + i, j * cols + i + 1))
+            if j + 1 < rows:
+                edges.append((j * cols + i, (j + 1) * cols + i))
+    rng = Stream([int(seed), 0x6D61])
+    adj = {v: set() for v in range(len(coords))}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    removed = set()
+    order = rng.permutation(len(edges))
+    marks = rng.random(len(edges))
+    for idx in order:
+        if marks[idx] >= edge_removal:
+            continue
+        a, b = edges[idx]
+        adj[a].discard(b)
+        adj[b].discard(a)
+        seen, stack = {a}, [a]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(coords):
+            removed.add((a, b))
+        else:
+            adj[a].add(b)
+            adj[b].add(a)
+    return RoadGraph(coords, [e for e in edges if e not in removed])
+
+
+class TestSynthMapEarlyStop:
+    """synth_map's connectivity check stops once it reaches the removed
+    edge's far end; the maps equal those of a search over the whole graph."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_maps_equal_full_search(self, preset):
+        m = load_scenario(preset).map
+        args = (m.width, m.height, m.grid_step, m.map_seed, m.edge_removal)
+        assert (serialize_map(synth_map(*args))
+                == serialize_map(full_search_synth_map(*args)))
+
+    @pytest.mark.parametrize("shape", [
+        (500.0, 500.0, 50.0, 0.15),
+        (1750.0, 2125.0, 125.0, 0.15),
+        (300.0, 100.0, 25.0, 0.5),       # many removals, many refused
+        (100.0, 600.0, 50.0, 0.9),
+    ])
+    def test_seeds_equal_full_search(self, shape):
+        width, height, step, removal = shape
+        for seed in range(6):
+            args = (width, height, step, seed, removal)
+            assert (serialize_map(synth_map(*args))
+                    == serialize_map(full_search_synth_map(*args))), seed
 
 
 class TestShortestPath:

@@ -124,10 +124,9 @@ class TestDailyPlan:
 
     def test_evening_stay_range(self):
         _, model = simple_world()
-        prof = model.profiles[0]
         g = rng(2)
         for _ in range(200):
-            plan = schedule_day(prof, g, model.settings)
+            plan = schedule_day(g, model.settings)
             assert 3600.0 <= plan.evening_stay <= 7200.0
 
     def test_groups_share_spot_and_sizes(self):
@@ -151,10 +150,9 @@ class TestDailyPlan:
     def test_evening_frequency_binomial_band(self):
         # >= 1000 node-days of evening decisions around probability 0.5.
         _, model = simple_world()
-        prof = model.profiles[0]
         g = rng(4)
         n = 2000
-        hits = sum(schedule_day(prof, g, model.settings).evening
+        hits = sum(schedule_day(g, model.settings).evening
                    for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(hits - n * 0.5) <= 3 * sigma
