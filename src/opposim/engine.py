@@ -19,12 +19,12 @@ map) skip ahead instead of burning ticks.
 A phone alone at home under hrson would loop all night through scan, AP
 role, an idle minute and retirement. An AP that retires alone in the
 cells around it, standing still, under a gate that draws nothing goes
-dormant: it keeps its radio events on a heap of its own, off the world's.
-When a node enters those cells, its own mobility wake comes due, the
-auditors run or the run ends, its events are handled at the ticks the
-live loop would have handled them, with the live handlers' steps; once
-its state repeats, the whole cycles left are jumped in one step
-(`Simulation._catch_up`).
+dormant: it keeps its radio events on a heap of its own and sleeps on
+those cells, as an idle client does. When a node enters them, its own
+mobility wake comes due, the auditors run or the run ends, its events
+are handled at the ticks the live loop would have handled them, with the
+live handlers' steps; once its state repeats, the whole cycles left are
+jumped in one step (`Simulation._catch_up`).
 
 Reproducibility: a run is a pure function of (config, seed). The master
 seed expands into independent named streams (world, mobility, traffic,
@@ -262,17 +262,14 @@ class Simulation:
         self.check_at: List[float] = [_EAGER] * n
         self.lazy_count: Dict[Tuple[int, int], int] = {}
         self.client_scan_key: Dict[int, Tuple] = {}
-        # a CLIENT whose rescan found nothing changed sleeps on the cells
-        # of its ring: asleep[nid] is its token (poll time, epoch), and
-        # watchers[cell] maps each node that slept on the cell to its token
-        self.asleep: List[Optional[Tuple[float, int]]] = [None] * n
-        self.watchers: Dict[Tuple[int, int], Dict[int, Tuple[float, int]]] = {}
+        # nodes sleep on their ring's cells until `_bump_cell` wakes them:
+        # watchers[cell] maps each node that slept on it to its token, its
+        # sleep record then: asleep[nid], a 1-tuple of an idle CLIENT's poll
+        # time, or dormant[nid], a dormant AP's radio events (see _catch_up)
+        self.asleep: List[Optional[Tuple[float]]] = [None] * n
+        self.watchers: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
-        # a retired AP alone in its ring goes dormant (see _catch_up):
-        # dormant[nid] is the heap of its radio events, dormant_on[cell] the
-        # dormant nodes whose ring holds the cell
         self.dormant: Dict[int, List[Tuple[float, int, int, str, int]]] = {}
-        self.dormant_on: Dict[Tuple[int, int], Dict[int, None]] = {}
         # the replay jumps repeated cycles only when every time it computes
         # is a whole number of seconds, which float arithmetic keeps exact
         lonely_cycle = (config.tick, self.timing.t_scan, self.timing.t_rest,
@@ -358,17 +355,25 @@ class Simulation:
 
     def _bump_cell(self, cell: Tuple[int, int]) -> None:
         """Something in the cell changed: bump its version and wake the
-        clients asleep on it whose token is still current."""
+        nodes asleep on it, the one place where a cell's change wakes one.
+
+        A registration is current only if its token is the node's sleep
+        record, `asleep[nid]` or `dormant[nid]`; stale ones go with the
+        bucket. A node that acts bumps its own cell and a dormant ring
+        holds only its owner, so a dormant node wakes only when a node
+        enters its ring, before `_apply_move` moves the grids."""
         self.cellver[cell] = self.cellver.get(cell, 0) + 1
         sleepers = self.watchers.pop(cell, None)
         if sleepers:
             asleep = self.asleep
-            epoch = self.epoch
             for nid, token in sleepers.items():
-                if asleep[nid] == token and token[1] == epoch[nid]:
+                if token is asleep[nid]:
                     asleep[nid] = None
                     self._push_radio(self._next_poll(nid, token[0]), nid,
                                      "rescan")
+                elif token is self.dormant.get(nid):
+                    self._wake(nid,
+                               _tick_index(self.clock, self.config.tick) - 1)
 
     def _next_poll(self, nid: int, last: float) -> float:
         """Event time of the first poll that has not run yet in the chain
@@ -543,9 +548,8 @@ class Simulation:
         """Mobility wakes due by tick t, then a step of every mover.
 
         A free mover, one with no link (neither AP nor CLIENT) that moves
-        inside its cell outside every dormant ring, only moves and bumps
-        its cell: `_apply_move` has no link of it to check, no AP
-        neighbours to settle and no dormant node to wake. A free node on
+        inside its cell, only moves and bumps its cell: `_apply_move` has
+        no link of it to check and no AP neighbours to settle. A free node on
         foot or in a car (mode MOVING) whose step bumped its cell is skipped
         until its check time, `Leg.exit_time`, the earliest time its leg
         segment can leave the cell or end; at the first tick from then on
@@ -570,11 +574,11 @@ class Simulation:
           `_finish_connect`. So each interval between two scans sees a
           change of the cell, or the skipped mover at its end, exactly
           when the per-tick bumps changed the cell in it.
-        - No client sleeps on a cell that holds a skipped mover: the bump
-          that arms a mover wakes the cell's sleepers, and no client goes
-          to sleep on a changed cell. So the bumps left out wake no one.
-        - A skipped mover enters no dormant ring, since it stays in its
-          cell, and no node goes dormant with it in its ring."""
+        - The bumps left out wake no one. No client sleeps on a cell that
+          holds a skipped mover: the bump that arms a mover wakes the
+          cell's sleepers, and no client goes to sleep on a changed cell.
+          No dormant ring holds it: it stays in its cell, and no node goes
+          dormant with another in its ring."""
         model = self.model
         events = self.mobility_events
         while events and events[0][0] <= t:
@@ -598,7 +602,6 @@ class Simulation:
         node_cell = self.node_cell
         radio = self.radio
         size = self.cell_size
-        dormant_on = self.dormant_on
         check_at = self.check_at
         for nid in list(self.moving):
             if check_at[nid] > t:
@@ -606,19 +609,15 @@ class Simulation:
             newpos = model.position(nid, t)
             cell = node_cell[nid]
             free = radio[nid].phase not in _LINKED
-            if (free and cell not in dormant_on
-                    and int(newpos[0] // size) == cell[0]
+            if (free and int(newpos[0] // size) == cell[0]
                     and int(newpos[1] // size) == cell[1]):
                 if newpos != pos[nid]:
                     pos[nid] = newpos
                     self._bump_cell(cell)
                     self._arm(nid, t)
             else:
-                # a free node is armed here only if it moved: it changed
-                # cell, or moved in a dormant ring and woke its nodes; one
-                # that did not move is still in the ring
                 self._apply_move(nid, newpos, t)
-                if free and node_cell[nid] not in dormant_on:
+                if free:            # it changed cell
                     self._arm(nid, t)
 
     def _arm(self, nid: int, t: float) -> None:
@@ -667,27 +666,20 @@ class Simulation:
         old_cell = self.node_cell[nid]
         new_cell = (int(newpos[0] // self.cell_size),
                     int(newpos[1] // self.cell_size))
-        if self.dormant and (nid in self.dormant
-                             or new_cell in self.dormant_on):
-            # a dormant node that moves, or whose ring nid enters, wakes
-            # as the live loop has it before this tick's radio step
-            last = _tick_index(t, self.config.tick) - 1
-            if nid in self.dormant:
-                self._wake(nid, last)
-            for other in list(self.dormant_on.get(new_cell, ())):
-                self._wake(other, last)
+        if nid in self.dormant:
+            # in its old cell, as the live loop has it before the radio step
+            self._wake(nid, _tick_index(t, self.config.tick) - 1)
+        self._bump_cell(old_cell)
         self.pos[nid] = newpos
         is_ap = self.radio[nid].phase is AP
         if new_cell != old_cell:
+            self._bump_cell(new_cell)       # before the grids move
             _grid_remove(self.grid, nid, old_cell)
             self.grid.setdefault(new_cell, {})[nid] = None
             self.node_cell[nid] = new_cell
             if is_ap:
                 _grid_remove(self.ap_grid, nid, old_cell)
                 self.ap_grid.setdefault(new_cell, {})[nid] = None
-        self._bump_cell(old_cell)
-        if new_cell != old_cell:
-            self._bump_cell(new_cell)
         if is_ap:
             near = self._neighbors(nid, self.ap_grid)
             if (not near and not self.ap_near[nid]
@@ -813,11 +805,13 @@ class Simulation:
         _grid_remove(self.ap_grid, nid, cell)
         if self._may_go_dormant(nid):
             self.dormant[nid] = []
-            for ring_cell in _ring(*cell):
-                self.dormant_on.setdefault(ring_cell, {})[nid] = None
         self._leave_ap_role(nid, state, t)
         near = self._set_ap_near(nid, ())
         self._bump_cell(cell)
+        heap = self.dormant.get(nid)
+        if heap is not None:        # registered after its own bump
+            for ring_cell in _ring(*cell):
+                self.watchers.setdefault(ring_cell, {})[nid] = heap
         self._resettle_neighborhood(nid, near, t)
 
     # -- the AP cycle ---------------------------------------------------------
@@ -910,7 +904,7 @@ class Simulation:
           n * tick. A tick with no event does nothing, so the idle
           fast-forward may skip the ticks a dormant node's events forced.
         - Nothing nid reads changes while it sleeps. Its scans find no AP:
-          `_apply_move` wakes it before a node enters its ring. The home
+          the bump of a cell a node enters wakes it (`_bump_cell`). The home
           gate reads nid's activity, which only nid's own mobility wake
           changes, and that wake wakes it first; `begin_day` plans the
           next day and moves no one. A fixed `ap_gate` entry is fixed.
@@ -920,8 +914,8 @@ class Simulation:
           empty. A node connecting to it from afar fails on range
           whatever its phase, and the auditors see it caught up to their
           tick.
-        - Its cell bumps wake no sleeper: a client sleeps on its own ring,
-          so one that watched nid's cell would be in nid's ring.
+        - Its cell bumps skip `_bump_cell`, which would wake nid itself: a
+          client watching its cell would lie in its ring.
         - `_radio_mark` cannot tell a skipped event apart. nid's steps
           push nid's events only, so an event of another node handled
           after one of nid's descends from an event that was in the heap
@@ -1010,8 +1004,7 @@ class Simulation:
         if not bumps:
             return
         cell = self.node_cell[nid]
-        self.cellver[cell] = self.cellver.get(cell, 0) + bumps - 1
-        self._bump_cell(cell)
+        self.cellver[cell] = self.cellver.get(cell, 0) + bumps
         is_ap = state.phase is AP
         if is_ap and not was_ap:
             self.ap_grid.setdefault(cell, {})[nid] = None
@@ -1026,8 +1019,6 @@ class Simulation:
         for event in self.dormant.pop(nid):
             if event[4] == epoch:
                 heapq.heappush(self.radio_events, event)
-        for cell in _ring(*self.node_cell[nid]):
-            _grid_remove(self.dormant_on, nid, cell)
 
     def _finish_connect(self, nid: int, t: float) -> None:
         """CONNECTING nid attaches to its target if that is still an AP in
@@ -1085,6 +1076,7 @@ class Simulation:
                 self._push_radio(t + self.config.radio.ap_idle_timeout,
                                  ap, "apcheck")
         self.epoch[nid] += 1
+        self.asleep[nid] = None
         if rescan:
             self._scan_again(nid, state, t)
 
@@ -1104,8 +1096,8 @@ class Simulation:
           it every poll finds a changed one.
         - A client that changes cell bumps its old cell, which is in the
           ring it slept on.
-        - A change of AP goes through detach and connect; detach bumps
-          `epoch`, which voids the token, and connect starts a new chain.
+        - A change of AP goes through detach, which voids the token, and
+          connect, which starts a new chain.
         - `_radio_seq` breaks ties only between events of one node at one
           time, and a CLIENT has at most one live event, so the polls
           left out reorder nothing.
@@ -1118,8 +1110,7 @@ class Simulation:
         its epoch and so voids them."""
         ring = _ring(*self.node_cell[nid])
         if not self._rescan_finds_change(nid, ring):
-            token = (t, self.epoch[nid])
-            self.asleep[nid] = token
+            token = self.asleep[nid] = (t,)   # a new object each time
             for cell in ring:
                 self.watchers.setdefault(cell, {})[nid] = token
             return

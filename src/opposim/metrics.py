@@ -56,6 +56,15 @@ class MetricsReport:
                 f"evicted={self.buffer_evicted} left={self.still_buffered}")
 
 
+def _sum(values) -> float:
+    """Left to right, as `sum` adds floats up to Python 3.11: from 3.12 on
+    it compensates rounding, and reports would move with the version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def delivery_rate(report: MetricsReport) -> Optional[float]:
     if report.generated == 0:
         return None
@@ -66,7 +75,7 @@ def avg_latency(deliveries: Sequence[Tuple[float, float]]) -> Optional[float]:
     """Mean of (delivered_at - created_at) pairs; None for no deliveries."""
     if not deliveries:
         return None
-    return sum(d - c for c, d in deliveries) / len(deliveries)
+    return _sum(d - c for c, d in deliveries) / len(deliveries)
 
 
 def overhead_ratio(report: MetricsReport) -> Optional[float]:
@@ -78,7 +87,7 @@ def overhead_ratio(report: MetricsReport) -> Optional[float]:
 def buffer_time_stats(residencies: Sequence[float]) -> Optional[float]:
     if not residencies:
         return None
-    return sum(residencies) / len(residencies)
+    return _sum(residencies) / len(residencies)
 
 
 class MetricsCollector:
@@ -195,11 +204,11 @@ def aggregate(reports: Sequence[MetricsReport]) -> Dict[str, Tuple[Optional[floa
         if not values:
             out[name] = (None, None)
             continue
-        mean = sum(values) / len(values)
+        mean = _sum(values) / len(values)
         if len(values) == 1:
             std = 0.0
         else:
-            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            var = _sum((v - mean) ** 2 for v in values) / (len(values) - 1)
             std = math.sqrt(var)
         out[name] = (mean, std)
     return out

@@ -518,7 +518,6 @@ class MobilityModel:
             state.pos = line.stops[s_on].position
             if board > now:
                 state.mode = Mode.WAIT_BUS
-                state.pending.insert(0, ("ride",))
                 return board
             state.mode = Mode.RIDING
             return alight
@@ -632,7 +631,6 @@ class MobilityModel:
 
         # somewhere along a trip
         if state.mode is Mode.WAIT_BUS:
-            state.pending.pop(0)            # the queued ("ride",) marker
             state.mode = Mode.RIDING
             _, _, _, alight = state.bus
             return alight

@@ -184,13 +184,13 @@ def recount_planes(sim, t):
 def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions and
     radio phases; every CLIENT either has one live event, a rescan or its
-    result, or sleeps with a current token on all nine cells of its ring
-    and the scan key of its ring's cell versions and AP now; no other
-    node has a rescan event or a current token. A dormant node has no
-    other node in its ring, no live radio event and no link on any plane,
-    and is registered on exactly the nine cells of its ring; every other
-    node that does not sleep has a live radio event. The skipped movers
-    pass `recount_lazy`."""
+    result, or sleeps with its token `asleep[nid]` on all nine cells of its
+    ring and the scan key of its ring's cell versions and AP now; no other
+    node has a rescan event or a sleep token. A dormant node has no other
+    node in its ring, no live radio event and no link on any plane, and is
+    registered with its heap `dormant[nid]` as token on exactly the nine
+    cells of its ring; every other node that does not sleep has a live
+    radio event. The skipped movers pass `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
@@ -207,27 +207,25 @@ def recount_world(sim, t):
             live.setdefault(nid, []).append(kind)
     for nid, state in enumerate(sim.radio):
         token = sim.asleep[nid]
-        asleep = token is not None and token[1] == sim.epoch[nid]
-        if state.phase is Phase.CLIENT and asleep:
+        if state.phase is Phase.CLIENT and token is not None:
             assert nid not in live
             ring = _ring(*cells[nid])
             for cell in ring:
-                assert sim.watchers[cell][nid] == token
+                assert sim.watchers[cell][nid] is token
             assert sim.client_scan_key[nid] == (
                 *map(sim.cellver.get, ring), state.attached_ap), (t, nid)
         elif state.phase is Phase.CLIENT:
             assert live.get(nid) in (["rescan"], ["rescan_result"])
         else:
-            assert not asleep
+            assert token is None, (t, nid)
             assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
             assert (nid in live) != (nid in sim.dormant)
-    for nid in sim.dormant:
+    for nid, heap in sim.dormant.items():
         ring = _ring(*cells[nid])
         assert all(grid.get(cell, {nid}) == {nid} for cell in ring)
         assert not any(plane.links[nid] for plane in sim.planes)
-        assert {c for c, b in sim.dormant_on.items() if nid in b} == set(ring)
-    assert all(b and set(b) <= set(sim.dormant)
-               for b in sim.dormant_on.values())
+        assert {c for c, b in sim.watchers.items()
+                if b.get(nid) is heap} == set(ring), (t, nid)
     recount_lazy(sim, t)
 
 
@@ -237,6 +235,8 @@ def recount_lazy(sim, t):
     in the cell of its position; the skipped movers per cell are those
     counted, and no client sleeps on their cells."""
     size = sim.cell_size
+    rings = {cell for nid in sim.dormant
+             for cell in _ring(*sim.node_cell[nid])}
     lazy = {}
     for nid, until in enumerate(sim.check_at):
         if until == -math.inf:
@@ -245,7 +245,7 @@ def recount_lazy(sim, t):
         assert sim.radio[nid].phase not in (Phase.AP, Phase.CLIENT)
         assert sim.model.nodes[nid].mode is Mode.MOVING
         cell = sim.node_cell[nid]
-        assert cell not in sim.dormant_on
+        assert cell not in rings
         x, y = sim.model.position(nid, t)
         assert sim.pos[nid] == (x, y)
         assert cell == (int(x // size), int(y // size))
@@ -253,8 +253,7 @@ def recount_lazy(sim, t):
     assert sim.lazy_count == lazy
     for cell in lazy:
         for nid, token in sim.watchers.get(cell, {}).items():
-            assert not (sim.asleep[nid] == token
-                        and token[1] == sim.epoch[nid]), (t, cell, nid)
+            assert token is not sim.asleep[nid], (t, cell, nid)
 
 
 class TestScriptedTwoNode:
@@ -595,8 +594,7 @@ class TestEngineInvariants:
         def count(sim, t):
             clients = [n for n, st in enumerate(sim.radio)
                        if st.phase is Phase.CLIENT]
-            asleep = sum(1 for n in clients if sim.asleep[n] is not None
-                         and sim.asleep[n][1] == sim.epoch[n])
+            asleep = sum(1 for n in clients if sim.asleep[n] is not None)
             dormant_aps = sum(1 for n in sim.dormant
                               if sim.radio[n].phase is Phase.AP)
             seen.append((asleep, len(clients) - asleep, len(sim.moving),
@@ -770,16 +768,12 @@ class AwakeSimulation(CountingSimulation):
 def world_state(sim):
     """The world's state, comparable across runs that push different
     numbers of radio events: the live radio events, on the world's heap
-    or a dormant node's own, without their seq numbers, and only current
-    sleep tokens."""
-    def current(nid, token):
-        return (token is not None and token[1] == sim.epoch[nid]
-                and sim.asleep[nid] == token)
-
+    or a dormant node's own, without their seq numbers, and only the
+    registrations of sleeping clients."""
     events = [(time, nid, kind, epoch)
               for heap in (sim.radio_events, *sim.dormant.values())
               for time, nid, _, kind, epoch in heap]
-    watchers = {cell: {n: tok for n, tok in b.items() if current(n, tok)}
+    watchers = {cell: {n: tok for n, tok in b.items() if tok is sim.asleep[n]}
                 for cell, b in sim.watchers.items()}
     return {
         "radio": [(st.phase, st.timer_expiry, st.attached_ap,
@@ -796,8 +790,7 @@ def world_state(sim):
         "ap_near": [sorted(near) for near in sim.ap_near],
         "cellver": dict(sim.cellver),
         "client_scan_key": dict(sim.client_scan_key),
-        "asleep": [tok if current(n, tok) else None
-                   for n, tok in enumerate(sim.asleep)],
+        "asleep": list(sim.asleep),
         "watchers": {c: b for c, b in watchers.items() if b},
         "planes": [(sorted(p.ap_active),
                     sorted({(link.ap, link.client) for ends in p.links
@@ -998,7 +991,6 @@ class EagerSimulation(Simulation):
             newpos = model.position(nid, t)
             cell = self.node_cell[nid]
             if (self.radio[nid].phase not in (Phase.AP, Phase.CLIENT)
-                    and cell not in self.dormant_on
                     and int(newpos[0] // size) == cell[0]
                     and int(newpos[1] // size) == cell[1]):
                 if newpos != self.pos[nid]:

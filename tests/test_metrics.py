@@ -50,6 +50,10 @@ class TestAvgLatency:
         expect = float(np.mean(delivered - created))
         assert avg_latency(pairs) == pytest.approx(expect, rel=1e-12)
 
+    def test_sums_left_to_right_on_every_python(self):
+        # see TestBufferTime: latencies 1e16, 1 and -1e16 add up to 0
+        assert avg_latency([(0.0, 1e16), (0.0, 1.0), (1e16, 0.0)]) == 0.0
+
 
 class TestOverheadRatio:
     def test_chosen_definition(self):
@@ -70,6 +74,12 @@ class TestBufferTime:
         assert buffer_time_stats([50.0]) == 50.0
         assert buffer_time_stats([86400.0]) == 86400.0
         assert buffer_time_stats([]) is None
+
+    def test_sums_left_to_right_on_every_python(self):
+        # the built-in sum compensates rounding from Python 3.12 on, where
+        # these would average 1/3; the reports add left to right, as sum
+        # does up to 3.11, so no report moves with the Python version
+        assert buffer_time_stats([1e16, 1.0, -1e16]) == 0.0
 
     def test_collector_episodes(self):
         c = MetricsCollector()
@@ -138,6 +148,12 @@ class TestAggregate:
         reps = [MetricsReport(seed=1), MetricsReport(seed=2)]
         agg = aggregate(reps)
         assert agg["avg_latency"] == (None, None)
+
+    def test_sums_left_to_right_on_every_python(self):
+        # see TestBufferTime
+        reps = [MetricsReport(seed=i, avg_buffer_time=v)
+                for i, v in enumerate((1e16, 1.0, -1e16))]
+        assert aggregate(reps)["avg_buffer_time"][0] == 0.0
 
 
 class TestCsv:
