@@ -1013,10 +1013,17 @@ class Simulation:
 
     def _wake(self, nid: int, last: int) -> None:
         """nid stops being dormant after tick `last`: its events up to that
-        tick are handled, and the rest go to the world's heap."""
+        tick are handled, the rest go to the world's heap, and the ring it
+        registered on, before any move, drops its registrations."""
         self._catch_up(nid, last)
+        heap = self.dormant.pop(nid)
+        for cell in _ring(*self.node_cell[nid]):
+            if self.watchers.get(cell, {}).get(nid) is heap:
+                del self.watchers[cell][nid]
+                if not self.watchers[cell]:
+                    del self.watchers[cell]
         epoch = self.epoch[nid]
-        for event in self.dormant.pop(nid):
+        for event in heap:
             if event[4] == epoch:
                 heapq.heappush(self.radio_events, event)
 

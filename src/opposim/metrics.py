@@ -1,9 +1,9 @@
 """Run metrics: counters, derived ratios and CSV serialization.
 
-Per run we track message outcomes (delivered, expired, evicted to
-extinction, still buffered), completed/aborted transfers, delivery
-latencies and buffer custody episodes. Three headline metrics follow the
-usual DTN conventions:
+Per run we count message outcomes (delivered, expired, evicted to
+extinction, still buffered) and completed/aborted transfers, and keep
+running sums of delivery latencies and buffer custody episodes. Three
+headline metrics follow the usual DTN conventions:
 
     delivery rate   = delivered / generated
     average latency = mean(delivered_at - created_at), first delivery only
@@ -21,8 +21,8 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 
 class MetricsError(RuntimeError):
@@ -71,23 +71,10 @@ def delivery_rate(report: MetricsReport) -> Optional[float]:
     return report.delivered / report.generated
 
 
-def avg_latency(deliveries: Sequence[Tuple[float, float]]) -> Optional[float]:
-    """Mean of (delivered_at - created_at) pairs; None for no deliveries."""
-    if not deliveries:
-        return None
-    return _sum(d - c for c, d in deliveries) / len(deliveries)
-
-
 def overhead_ratio(report: MetricsReport) -> Optional[float]:
     if report.delivered == 0:
         return None
     return (report.relayed - report.delivered) / report.delivered
-
-
-def buffer_time_stats(residencies: Sequence[float]) -> Optional[float]:
-    if not residencies:
-        return None
-    return _sum(residencies) / len(residencies)
 
 
 class MetricsCollector:
@@ -97,14 +84,16 @@ class MetricsCollector:
         self.seed = seed
         self.generated_ids: set = set()
         self.delivered_at: Dict[int, float] = {}
-        self.deliveries: List[Tuple[float, float]] = []  # (created, delivered)
+        # running sums, added in event order from int 0 as _sum adds
+        self.latency_total = 0                          # first deliveries
         self.relayed = 0
         self.aborted = 0
         self.ttl_dropped = 0
         self.buffer_evicted = 0
         self.evicted_copies = 0
         self.expired_copies = 0
-        self.residencies: List[float] = []
+        self.buffer_time_total = 0
+        self.episodes = 0                               # closed custodies
         self._open: Dict[Hashable, float] = {}          # copy -> admit time
 
     # -- message lifecycle ---------------------------------------------------
@@ -120,7 +109,7 @@ class MetricsCollector:
         if msg_id in self.delivered_at:
             return False
         self.delivered_at[msg_id] = now
-        self.deliveries.append((created_at, now))
+        self.latency_total += now - created_at
         return True
 
     def on_transfer_completed(self) -> None:
@@ -146,18 +135,20 @@ class MetricsCollector:
     def on_copy_removed(self, copy: Hashable, now: float, kind: str) -> None:
         start = self._open.pop(copy, None)
         if start is None:
-            return
-        self.residencies.append(now - start)
+            raise MetricsError(f"removal of a copy never admitted: {copy!r}")
+        self.buffer_time_total += now - start
+        self.episodes += 1
         if kind == "evicted":
             self.evicted_copies += 1
         elif kind == "expired":
             self.expired_copies += 1
 
     def close_open_copies(self, now: float) -> None:
-        """Simulation teardown: every copy still buffered ends its custody
-        episode now, so long-held spray copies weigh into the average."""
+        """Teardown: every copy still buffered ends its custody episode
+        now, in admission order, so long-held spray copies weigh in."""
         for start in self._open.values():
-            self.residencies.append(now - start)
+            self.buffer_time_total += now - start
+        self.episodes += len(self._open)
         self._open.clear()
 
     # -- finalize --------------------------------------------------------------
@@ -176,9 +167,11 @@ class MetricsCollector:
             expired_copies=self.expired_copies,
         )
         rep.delivery_rate = delivery_rate(rep)
-        rep.avg_latency = avg_latency(self.deliveries)
+        rep.avg_latency = (self.latency_total / rep.delivered
+                           if rep.delivered else None)
         rep.overhead_ratio = overhead_ratio(rep)
-        rep.avg_buffer_time = buffer_time_stats(self.residencies)
+        rep.avg_buffer_time = (self.buffer_time_total / self.episodes
+                               if self.episodes else None)
         return rep
 
 

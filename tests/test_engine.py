@@ -189,8 +189,9 @@ def recount_world(sim, t):
     node has a rescan event or a sleep token. A dormant node has no other
     node in its ring, no live radio event and no link on any plane, and is
     registered with its heap `dormant[nid]` as token on exactly the nine
-    cells of its ring; every other node that does not sleep has a live
-    radio event. The skipped movers pass `recount_lazy`."""
+    cells of its ring, and no woken node keeps such a registration; every
+    other node that does not sleep has a live radio event. The skipped
+    movers pass `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
@@ -226,6 +227,10 @@ def recount_world(sim, t):
         assert not any(plane.links[nid] for plane in sim.planes)
         assert {c for c, b in sim.watchers.items()
                 if b.get(nid) is heap} == set(ring), (t, nid)
+    for bucket in sim.watchers.values():
+        for nid, token in bucket.items():
+            if isinstance(token, list):
+                assert token is sim.dormant.get(nid), (t, nid)
     recount_lazy(sim, t)
 
 

@@ -1,12 +1,13 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opposim.metrics import (
-    MetricsCollector, MetricsError, MetricsReport, aggregate, avg_latency,
-    buffer_time_stats, delivery_rate, overhead_ratio, render_aggregate_csv,
-    render_runs_csv, render_sweep_csv, write_reports,
+    MetricsCollector, MetricsError, MetricsReport, aggregate, delivery_rate,
+    overhead_ratio, render_aggregate_csv, render_runs_csv, render_sweep_csv,
+    write_reports,
 )
 
 
@@ -15,6 +16,26 @@ def report(**kw):
     rep.delivery_rate = delivery_rate(rep)
     rep.overhead_ratio = overhead_ratio(rep)
     return rep
+
+
+def avg_latency(pairs):
+    """avg_latency of a run whose messages are (created, delivered) pairs,
+    delivered in list order."""
+    c = MetricsCollector()
+    for msg_id, (created, delivered) in enumerate(pairs):
+        c.on_generated(msg_id)
+        c.on_delivered(msg_id, created, delivered)
+    return c.report(still_buffered=0).avg_latency
+
+
+def avg_buffer_time(residencies):
+    """avg_buffer_time of a run whose copies stay buffered for the given
+    times, one after another."""
+    c = MetricsCollector()
+    for copy, held in enumerate(residencies):
+        c.on_copy_admitted(copy, 0.0)
+        c.on_copy_removed(copy, held, "delivered")
+    return c.report(still_buffered=0).avg_buffer_time
 
 
 class TestDeliveryRate:
@@ -71,15 +92,23 @@ class TestOverheadRatio:
 
 class TestBufferTime:
     def test_simple_residencies(self):
-        assert buffer_time_stats([50.0]) == 50.0
-        assert buffer_time_stats([86400.0]) == 86400.0
-        assert buffer_time_stats([]) is None
+        assert avg_buffer_time([50.0]) == 50.0
+        assert avg_buffer_time([86400.0]) == 86400.0
+        assert avg_buffer_time([]) is None
+
+    def test_two_point_mean(self):
+        assert avg_buffer_time([50.0, 150.0]) == 100.0
+
+    def test_large_sample_against_recompute(self):
+        held = np.random.default_rng(9).uniform(0, 86400, size=1000)
+        expect = float(np.mean(held))
+        assert avg_buffer_time(held) == pytest.approx(expect, rel=1e-12)
 
     def test_sums_left_to_right_on_every_python(self):
         # the built-in sum compensates rounding from Python 3.12 on, where
         # these would average 1/3; the reports add left to right, as sum
         # does up to 3.11, so no report moves with the Python version
-        assert buffer_time_stats([1e16, 1.0, -1e16]) == 0.0
+        assert avg_buffer_time([1e16, 1.0, -1e16]) == 0.0
 
     def test_collector_episodes(self):
         c = MetricsCollector()
@@ -88,16 +117,45 @@ class TestBufferTime:
         c.on_copy_admitted((2, 10), 10.0)
         c.on_copy_removed((1, 10), 50.0, "delivered")
         c.on_copy_removed((2, 10), 86410.0, "expired")
-        assert sorted(c.residencies) == [50.0, 86400.0]
-        assert c.expired_copies == 1
+        rep = c.report(still_buffered=0)
+        assert rep.avg_buffer_time == (50.0 + 86400.0) / 2
+        assert rep.expired_copies == 1
 
     def test_teardown_closes_open_copies(self):
         c = MetricsCollector()
         c.on_copy_admitted((1, 10), 100.0)
         c.close_open_copies(1100.0)
-        assert c.residencies == [1000.0]
+        assert c.report(still_buffered=0).avg_buffer_time == 1000.0
         c.close_open_copies(2000.0)   # idempotent once drained
-        assert c.residencies == [1000.0]
+        assert c.report(still_buffered=0).avg_buffer_time == 1000.0
+
+    def test_removal_of_a_copy_never_admitted_surfaces_error(self):
+        c = MetricsCollector()
+        with pytest.raises(MetricsError):
+            c.on_copy_removed((1, 10), 5.0, "evicted")
+        c.on_copy_admitted((1, 10), 0.0)
+        c.on_copy_removed((1, 10), 5.0, "evicted")
+        with pytest.raises(MetricsError):
+            c.on_copy_removed((1, 10), 6.0, "evicted")
+        rep = c.report(still_buffered=0)
+        assert (rep.evicted_copies, rep.avg_buffer_time) == (1, 5.0)
+
+    def test_custody_episodes_do_not_grow_the_collector(self):
+        # a run's memory must not grow with its transfers: each custody
+        # episode adds to running sums, and 100,000 of them (3.2 MB as a
+        # list of floats) leave the collector as it was
+        c = MetricsCollector()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for copy in range(100_000):
+                c.on_copy_admitted(copy, float(copy))
+                c.on_copy_removed(copy, copy + 1.5, "delivered")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        assert c.report(still_buffered=0).avg_buffer_time == 1.5
 
 
 class TestCollectorDeliveries:
