@@ -21,8 +21,11 @@ res = run_contact_trace(5, contacts, [msg], make_policy("snw"))
 print("spray-and-wait custody chain (L=8):")
 for mid, src, dst, t in res.transfers:
     print(f"   t={t:5.1f}s  node{src} -> node{dst}")
+# the chain's custodians: the source and every node a spray reached
+custodians = {msg.source} | {dst for mid, src, dst, t in res.transfers
+                             if dst != msg.destination}
 print(f"   delivered: {sorted(res.delivered_ids())} "
-      f"(custodians: {sorted(msg.custodians)})\n")
+      f"(custodians: {sorted(custodians)})\n")
 
 # --- one day, three routers --------------------------------------------------
 print(f"{'router':10s} {'delivery':>8s} {'latency':>9s} {'overhead':>9s} "

@@ -51,8 +51,8 @@ from .radio import (AP, CLIENT, CONNECTING, RESTING, SCANNING, RadioState,
                     should_switch_ap, step_radio)
 from .rng import Stream
 from .routing import (Buffer, BufferEntry, HasView, PeerSummary, RouterPolicy,
-                      SendKey, buffer_admit, make_policy, send_key,
-                      spray_split)
+                      SendKey, buffer_admit, make_policy, router_name,
+                      send_key, spray_split)
 from .scenario import ConfigError, ScenarioConfig
 # perfbench/workloads.py imports apply_sweep_value from here
 from .scenario import apply_sweep_value  # noqa: F401
@@ -202,9 +202,9 @@ class Simulation:
     planes, `planes`.
 
     Who may take the AP role is the world's rule: `ap_gate` fixes it for
-    the nodes it names; under hrson any other node must be at home, under
-    the other routers it wins a `p_ap` coin from the policy stream, after
-    a scan that found no AP.
+    the nodes it names; under the home gate, `home_gate`, which router
+    hrson sets, any other node must be at home, else it wins a `p_ap` coin
+    from the policy stream, after a scan that found no AP.
 
     The world builds `planes[0]` from its own config; `add_plane` adds
     one whose config differs in `traffic` only. run() drives every plane
@@ -229,7 +229,7 @@ class Simulation:
         self.timing = config.radio.timing
         self.link_model = config.radio.link
         self.ap_gate = dict(ap_gate or {})
-        self.home_gate = make_policy(config.routing.router).home_gate
+        self.home_gate = router_name(config.routing.router) == "hrson"
         self.rng_world = stream_rng(seed, "world")
         self.rng_mobility = stream_rng(seed, "mobility")
         self.rng_radio = stream_rng(seed, "radio")
@@ -263,8 +263,8 @@ class Simulation:
         self.lazy_count: Dict[Tuple[int, int], int] = {}
         self.client_scan_key: Dict[int, Tuple] = {}
         # nodes sleep on their ring's cells until `_bump_cell` wakes them:
-        # watchers[cell] maps each node that slept on it to its token, its
-        # sleep record then: asleep[nid], a 1-tuple of an idle CLIENT's poll
+        # watchers[cell] maps each node asleep on it to its token, its
+        # sleep record: asleep[nid], a 1-tuple of an idle CLIENT's poll
         # time, or dormant[nid], a dormant AP's radio events (see _catch_up)
         self.asleep: List[Optional[Tuple[float]]] = [None] * n
         self.watchers: Dict[Tuple[int, int], Dict[int, object]] = {}
@@ -357,11 +357,12 @@ class Simulation:
         """Something in the cell changed: bump its version and wake the
         nodes asleep on it, the one place where a cell's change wakes one.
 
-        A registration is current only if its token is the node's sleep
-        record, `asleep[nid]` or `dormant[nid]`; stale ones go with the
-        bucket. A node that acts bumps its own cell and a dormant ring
-        holds only its owner, so a dormant node wakes only when a node
-        enters its ring, before `_apply_move` moves the grids."""
+        Every registration is current: its token is the node's sleep
+        record, `asleep[nid]` or `dormant[nid]`, and a sleeper that wakes
+        drops its registrations (`_unwatch`). A node that acts bumps its
+        own cell and a dormant ring holds only its owner, so a dormant node
+        wakes only when a node enters its ring, before `_apply_move` moves
+        the grids."""
         self.cellver[cell] = self.cellver.get(cell, 0) + 1
         sleepers = self.watchers.pop(cell, None)
         if sleepers:
@@ -369,11 +370,24 @@ class Simulation:
             for nid, token in sleepers.items():
                 if token is asleep[nid]:
                     asleep[nid] = None
+                    self._unwatch(nid, token)
                     self._push_radio(self._next_poll(nid, token[0]), nid,
                                      "rescan")
                 elif token is self.dormant.get(nid):
                     self._wake(nid,
                                _tick_index(self.clock, self.config.tick) - 1)
+
+    def _unwatch(self, nid: int, token) -> None:
+        """Drop sleeper nid's registrations, those with its sleep record
+        `token`, from the ring it slept on: its cell's, as a sleeper that
+        moves bumps its old cell, and so wakes, before the grids move."""
+        watchers = self.watchers
+        for cell in _ring(*self.node_cell[nid]):
+            bucket = watchers.get(cell)
+            if bucket is not None and bucket.get(nid) is token:
+                del bucket[nid]
+                if not bucket:
+                    del watchers[cell]
 
     def _next_poll(self, nid: int, last: float) -> float:
         """Event time of the first poll that has not run yet in the chain
@@ -1017,11 +1031,7 @@ class Simulation:
         registered on, before any move, drops its registrations."""
         self._catch_up(nid, last)
         heap = self.dormant.pop(nid)
-        for cell in _ring(*self.node_cell[nid]):
-            if self.watchers.get(cell, {}).get(nid) is heap:
-                del self.watchers[cell][nid]
-                if not self.watchers[cell]:
-                    del self.watchers[cell]
+        self._unwatch(nid, heap)
         epoch = self.epoch[nid]
         for event in heap:
             if event[4] == epoch:
@@ -1083,7 +1093,10 @@ class Simulation:
                 self._push_radio(t + self.config.radio.ap_idle_timeout,
                                  ap, "apcheck")
         self.epoch[nid] += 1
-        self.asleep[nid] = None
+        token = self.asleep[nid]
+        if token is not None:
+            self.asleep[nid] = None
+            self._unwatch(nid, token)
         if rescan:
             self._scan_again(nid, state, t)
 
@@ -1288,16 +1301,16 @@ class Plane:
     def _inject(self, msg: Message, t: float) -> None:
         """A new message enters its source's buffer and is offered on the
         source's open links. Under a spray router the source copy holds
-        the whole budget; epidemic copies carry no tokens."""
+        the whole budget and a custodian set; epidemic copies hold neither."""
         self.collector.on_generated(msg.msg_id)
         self.messages[msg.msg_id] = msg
         self.msg_status[msg.msg_id] = "live"
         self.holders[msg.msg_id] = set()
         self.addressed.setdefault(msg.destination, []).append(msg.msg_id)
-        msg.custodians.add(msg.source)
+        spray = self.policy.uses_tokens
         ok, evicted = buffer_admit(
-            self.buffers[msg.source], msg,
-            msg.copy_limit if self.policy.uses_tokens else 0)
+            self.buffers[msg.source], msg, msg.copy_limit if spray else 0,
+            {msg.source} if spray else None)
         heapq.heappush(self.ttl_events, (msg.expires_at, msg.msg_id))
         if ok:
             self.holders[msg.msg_id].add(msg.source)
@@ -1312,8 +1325,8 @@ class Plane:
 
     def _expire_messages(self, t: float) -> None:
         """Messages past their TTL end: their sends are aborted and every
-        copy is dropped. Nothing reads a message's holders or custodians
-        after that, as no copy of it can come back, so both go."""
+        copy is dropped, with the custodian set the copies share. Nothing
+        reads a message's holders after that, as no copy can come back."""
         while self.ttl_events and self.ttl_events[0][0] < t:
             _, mid = heapq.heappop(self.ttl_events)
             msg = self.messages[mid]       # messages are never deleted
@@ -1331,7 +1344,6 @@ class Plane:
                     self.collector.on_copy_removed(entry, msg.expires_at,
                                                    "expired")
             del self.holders[mid]
-            msg.custodians.clear()
             if status != "delivered":
                 self.addressed[msg.destination].remove(mid)
             if status == "live":
@@ -1384,8 +1396,8 @@ class Plane:
         because everything else select_transfers reads either only grows
         or is re-offered at once:
 
-        - custodians and delivered ids only grow, and growth only removes
-          offers;
+        - a copy's custodian set and delivered ids only grow, and growth
+          only removes offers;
         - a refused hand-off bumps the receiver's refusal count, which
           moves the key, and re-offers the copy on the sender's other links;
         - a transfer that held the sender's copy in flight re-offers it
@@ -1549,9 +1561,11 @@ class Plane:
             # an epidemic copy holds no tokens: spray_split(0) == (0, 0)
             give, keep = spray_split(entry.tokens)
             self.buffers[src].set_tokens(entry, keep)
-            ok, evicted = buffer_admit(self.buffers[dst], msg, give)
+            custodians = entry.custodians
+            ok, evicted = buffer_admit(self.buffers[dst], msg, give, custodians)
             if ok:
-                msg.custodians.add(dst)
+                if custodians is not None:
+                    custodians.add(dst)
                 self.holders[msg.msg_id].add(dst)
                 self.collector.on_copy_admitted(
                     self.buffers[dst].get(msg.msg_id), now)
@@ -1601,25 +1615,25 @@ class Plane:
     def _check_tokens(self, t: float) -> None:
         """Spray custody invariant: per message, buffered tokens plus the
         tokens evicted copies took with them sum to the initial budget until
-        delivery or expiry; custodians never exceed it."""
+        delivery or expiry; its custodian set never outgrows it."""
         if not self.policy.uses_tokens:
             return
         for mid, status in self.msg_status.items():
             if status != "live":
                 continue
             msg = self.messages[mid]
-            total = self.tokens_evicted.get(mid, 0)
-            for holder in self.holders[mid]:
-                entry = self.buffers[holder].get(mid)
-                if entry is not None:
-                    total += entry.tokens
+            # a live message has holders, each holding a copy
+            copies = [self.buffers[h].entries[mid] for h in self.holders[mid]]
+            total = (self.tokens_evicted.get(mid, 0)
+                     + sum(entry.tokens for entry in copies))
             if total != msg.copy_limit:
                 raise AuditError(
                     f"t={t}: message {mid} token sum {total} != "
                     f"{msg.copy_limit}")
-            if len(msg.custodians) > msg.copy_limit:
+            custodians = len(copies[0].custodians)     # shared by the copies
+            if custodians > msg.copy_limit:
                 raise AuditError(
-                    f"t={t}: message {mid} has {len(msg.custodians)} "
+                    f"t={t}: message {mid} has {custodians} "
                     f"custodians > {msg.copy_limit}")
 
     # -- finalize -------------------------------------------------------------

@@ -7,16 +7,16 @@ A router decides what crosses a link. Three share one machinery:
 * snw           -- binary spray-and-wait: a copy carries a token budget,
                    halved toward each new custodian; a single-token copy
                    waits for the destination.
-* hrson         -- spray-and-wait forwarding. What sets it apart is a rule
-                   of the world, not of forwarding: a node may only become
-                   an access point at its house, office or evening spot.
-                   The policy carries that as `home_gate`, and the
-                   engine's world applies it.
+* hrson         -- spray-and-wait forwarding under the world's home gate
+                   (a node may only become an access point at its house,
+                   office or evening spot): `make_policy` gives it the snw
+                   policy, and the world reads the gate off `router_name`.
 
-A message's custodian set (everyone who holds or ever held a copy) is
-shared state carried with the message. The spray routers never send a copy
-to a former custodian except the destination itself; epidemic keeps no
-such history and offers a copy again to a peer that has lost its own.
+A spray copy's custodian set (every node that holds or ever held a copy)
+is shared by all the copies of its message on a plane. The spray routers
+never send a copy to a former custodian except the destination itself;
+epidemic copies keep no set, and flooding offers a copy again to a peer
+that has lost its own.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ class RoutingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class BufferEntry:
-    __slots__ = ("message", "tokens", "pinned")
+    __slots__ = ("message", "tokens", "pinned", "custodians")
 
-    def __init__(self, message: Message, tokens: int):
+    def __init__(self, message: Message, tokens: int, custodians=None):
         self.message = message
         self.tokens = tokens
         self.pinned = False      # an outgoing transfer is using this entry
+        self.custodians = custodians  # shared by its message's spray copies
 
 
 class Buffer:
@@ -112,8 +113,8 @@ class Buffer:
             self.sprayable.remove(entry)
 
 
-def buffer_admit(buffer: Buffer, message: Message,
-                 tokens: int) -> Tuple[bool, List[BufferEntry]]:
+def buffer_admit(buffer: Buffer, message: Message, tokens: int,
+                 custodians=None) -> Tuple[bool, List[BufferEntry]]:
     """Store a message copy, evicting oldest unpinned entries to make room.
 
     Returns (admitted, evicted_entries). A message larger than the whole
@@ -141,7 +142,7 @@ def buffer_admit(buffer: Buffer, message: Message,
             del buffer.entries[entry.message.msg_id]
             buffer._unlist(entry)
         buffer.used = used
-    entry = BufferEntry(message, 0)
+    entry = BufferEntry(message, 0, custodians)
     buffer.entries[message.msg_id] = entry
     buffer.set_tokens(entry, tokens)
     buffer.used += message.size
@@ -206,12 +207,10 @@ class RouterPolicy:
     select_transfers gives the sorted `send_key`s of what to send over a
     fresh or refreshed link; eligible re-checks one queued copy when it is
     offered or about to be sent; uses_tokens gives a new message's source
-    copy its spray budget and turns the custody accounting on; home_gate
-    tells the world to let a node take the AP role only at home."""
+    copy its spray budget and custodian set, turning custody accounting on."""
 
     name = "base"
     uses_tokens = False
-    home_gate = False
 
     def select_transfers(self, local: Buffer,
                          peer: PeerSummary) -> List[SendKey]:
@@ -289,28 +288,28 @@ class SprayAndWaitPolicy(EpidemicPolicy):
         dst = peer.node_id
         if m.destination == dst:
             return m.msg_id not in peer.has
-        return (entry.tokens >= SPRAY_MIN_TOKENS and dst not in m.custodians
-                and m.msg_id not in peer.has)
+        return (entry.tokens >= SPRAY_MIN_TOKENS
+                and dst not in entry.custodians and m.msg_id not in peer.has)
 
 
-class HrsonPolicy(SprayAndWaitPolicy):
-    """Spray-and-wait forwarding; the world gates the AP role to home."""
-    name = "hrson"
-    home_gate = True
-
-
+# canonical router name -> forwarding policy
 _POLICIES = {
     "epidemic": EpidemicPolicy,
     "snw": SprayAndWaitPolicy,
-    "sprayandwait": SprayAndWaitPolicy,
-    "spray-and-wait": SprayAndWaitPolicy,
-    "hrson": HrsonPolicy,
+    "hrson": SprayAndWaitPolicy,
 }
+_ALIASES = {"sprayandwait": "snw", "spray-and-wait": "snw"}
 
 
-def make_policy(name: str) -> RouterPolicy:
+def router_name(name: str) -> str:
+    """The canonical name, epidemic, snw or hrson, of router `name`."""
     key = name.strip().lower().replace("_", "-")
+    key = _ALIASES.get(key, key)
     if key not in _POLICIES:
         raise RoutingError(f"unknown router {name!r}; "
                            f"choose from epidemic, snw, hrson")
-    return _POLICIES[key]()
+    return key
+
+
+def make_policy(name: str) -> RouterPolicy:
+    return _POLICIES[router_name(name)]()

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .map_graph import PoiKind
 from .mobility import MobilitySettings
 from .radio import LinkModel, TimingParams
-from .routing import DEFAULT_BUFFER_CAPACITY, RoutingError, make_policy
+from .routing import DEFAULT_BUFFER_CAPACITY, RoutingError, router_name
 from .traffic import TrafficConfig
 
 PRESET_NAMES = ("desk", "scenario1", "scenario2", "scenario3", "scenario4")
@@ -108,7 +108,7 @@ class RoutingConfig:
     summary_refresh: float = 120.0     # periodic anti-entropy on long links; 0 off
 
     def validate(self) -> None:
-        make_policy(self.router)
+        router_name(self.router)
         if self.buffer_capacity <= 0:
             raise ConfigError("buffer capacity must be positive")
         if self.summary_refresh < 0:

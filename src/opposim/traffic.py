@@ -8,8 +8,8 @@ copy budget for spray-style routers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 
 class TrafficError(ValueError):
@@ -39,8 +39,9 @@ class TrafficConfig:
             raise TrafficError(f"bad generation window {self.window}")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Message:
+    """A message as its creation drew it; a run never changes it."""
     msg_id: int
     source: int
     destination: int
@@ -48,9 +49,6 @@ class Message:
     created_at: float
     ttl: float
     copy_limit: int           # initial token budget (spray routers)
-    # Shared seen-state: every node that holds or ever held a copy. The
-    # destination is excluded; it consumes the message instead of storing it.
-    custodians: Set[int] = field(default_factory=set)
 
     @property
     def expires_at(self) -> float:

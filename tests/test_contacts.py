@@ -69,6 +69,22 @@ class TestSprayOnTraces:
         assert res.delivered_ids() == {0}
 
 
+class TestPurity:
+    @pytest.mark.parametrize("router", ["snw", "epidemic"])
+    def test_a_trace_leaves_its_messages_as_they_were(self, router):
+        # demo 04's custody chain, run twice on the same Message objects:
+        # a trace writes nothing into its inputs, so the second run gives
+        # the first one's result
+        contacts = [Contact(0, 30, 0, 1), Contact(60, 90, 0, 2),
+                    Contact(120, 150, 1, 3), Contact(180, 210, 3, 4)]
+        messages = [msg(0, 0, 4, copies=8), msg(1, 2, 0, copies=8)]
+        first = run_contact_trace(5, contacts, messages, make_policy(router))
+        assert messages == [msg(0, 0, 4, copies=8), msg(1, 2, 0, copies=8)]
+        second = run_contact_trace(5, contacts, messages, make_policy(router))
+        assert len(first.transfers) >= 4 and 0 in first.delivered_at
+        assert second == first
+
+
 class TestOracleEquivalence:
     """Randomized schedules: flooding delivers exactly the messages with a
     feasible time-respecting contact chain."""

@@ -99,7 +99,9 @@ def recount_planes(sim, t):
     the messages addressed to it that are neither delivered nor expired;
     each buffer's sprayable list holds its copies with SPRAY_MIN_TOKENS
     tokens or more, each once; under epidemic no copy holds a token and
-    the list is empty. Each open link's `queued` holds the (src, msg_id)
+    the list is empty. Under a spray router every copy of a message shares
+    one custodian set, which holds its source and every holder; epidemic
+    copies keep none. Each open link's `queued` holds the (src, msg_id)
     of its queue's entries, each once. Refresh times never decrease, and with refreshes on each open
     link has exactly one pending."""
     clients = {(st.attached_ap, n) for n, st in enumerate(sim.radio)
@@ -173,12 +175,22 @@ def recount_planes(sim, t):
             entry = plane.buffers[src].get(mid)
             assert entry is not None and entry.pinned, (t, src, mid)
         held = {}
+        custody = {}
         for nid, buf in enumerate(plane.buffers):
             assert buf.used == sum(e.message.size for e in buf.entries.values())
             for mid, entry in buf.entries.items():
                 assert entry.pinned == ((nid, mid) in pinned)
                 held.setdefault(mid, set()).add(nid)
+                custody.setdefault(mid, {})[id(entry.custodians)] = (
+                    entry.custodians)
         assert {mid: h for mid, h in plane.holders.items() if h} == held
+        for mid, sets in custody.items():
+            (custodians,) = sets.values()
+            if plane.policy.uses_tokens:
+                assert custodians >= held[mid] | {
+                    plane.messages[mid].source}, (t, mid)
+            else:
+                assert custodians is None, (t, mid)
 
 
 def recount_world(sim, t):
@@ -189,9 +201,10 @@ def recount_world(sim, t):
     node has a rescan event or a sleep token. A dormant node has no other
     node in its ring, no live radio event and no link on any plane, and is
     registered with its heap `dormant[nid]` as token on exactly the nine
-    cells of its ring, and no woken node keeps such a registration; every
-    other node that does not sleep has a live radio event. The skipped
-    movers pass `recount_lazy`."""
+    cells of its ring; every other node that does not sleep has a live
+    radio event. Every registration in `watchers` is current: its token is
+    the node's `asleep[nid]` or `dormant[nid]`. The skipped movers pass
+    `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
     assert sim.node_cell == cells
@@ -227,10 +240,11 @@ def recount_world(sim, t):
         assert not any(plane.links[nid] for plane in sim.planes)
         assert {c for c, b in sim.watchers.items()
                 if b.get(nid) is heap} == set(ring), (t, nid)
-    for bucket in sim.watchers.values():
+    for cell, bucket in sim.watchers.items():
+        assert bucket, (t, cell)
         for nid, token in bucket.items():
-            if isinstance(token, list):
-                assert token is sim.dormant.get(nid), (t, nid)
+            assert (token is sim.asleep[nid]
+                    or token is sim.dormant.get(nid)), (t, cell, nid)
     recount_lazy(sim, t)
 
 
@@ -624,19 +638,49 @@ class TestEngineInvariants:
 
     def test_ended_messages_keep_no_holders_or_custodians(self):
         # a message that has expired has no copy left anywhere, so its
-        # holder set and its custodians go with it; a multi-day run then
-        # keeps per-message state only for the messages in play
+        # holder set goes, and its custodian set, which only its copies
+        # hold, with its last copy; a multi-day run then keeps per-message
+        # state only for the messages in play
         cfg = load_scenario("desk", router="snw", duration=86400.0,
                             overrides=["traffic.ttl=3000"])
-        sim = Simulation(cfg, 1000)
+        held = []
+
+        def custody(sim, t):
+            plane = sim.planes[0]
+            pending = {mid for _, mid in plane.ttl_events}
+            for buf in plane.buffers:
+                for entry in buf.entries.values():
+                    assert entry.message.msg_id in pending, t
+                    assert entry.custodians, t
+                    held.append(entry.custodians)
+
+        sim = Simulation(cfg, 1000, auditors=[custody], audit_interval=600.0)
         sim.run()
+        assert len(held) > 1000
         plane = sim.planes[0]
         pending = {mid for _, mid in plane.ttl_events}
         ended = [m for mid, m in plane.messages.items() if mid not in pending]
         assert len(ended) > 200
         assert not [m.msg_id for m in ended if m.msg_id in plane.holders]
-        assert not [m.msg_id for m in ended if m.custodians]
         assert all(mid in plane.holders for mid in pending)
+
+    def test_epidemic_copies_keep_no_custodians(self):
+        # flooding reads no custody history, so neither an epidemic plane's
+        # copies nor its messages carry a custodian set
+        cfg = load_scenario("desk", router="epidemic", duration=36000.0)
+        seen = []
+
+        def custody(sim, t):
+            for plane in sim.planes:
+                for buf in plane.buffers:
+                    for entry in buf.entries.values():
+                        seen.append(getattr(entry, "custodians", None))
+                for m in plane.messages.values():
+                    seen.append(getattr(m, "custodians", None))
+
+        Simulation(cfg, 1000, auditors=[custody], audit_interval=600.0).run()
+        assert len(seen) > 1000
+        assert not any(s is not None for s in seen)
 
     def test_desk_day_completes_quickly(self):
         import time
@@ -1088,7 +1132,6 @@ class TestSummaryRefresh:
         sim.holders[0] = set(holders)
         for h in holders:
             assert buffer_admit(sim.buffers[h], msg, 10)[0]
-            msg.custodians.add(h)
         return sim, spy
 
     def test_refusal_requeues_offer_dropped_as_in_flight(self):

@@ -6,9 +6,10 @@ import pytest
 from opposim.engine import Simulation
 from opposim.routing import (
     SPRAY_MIN_TOKENS, Buffer, HasView, PeerSummary, RoutingError,
-    buffer_admit, make_policy, send_key, spray_split,
+    buffer_admit, make_policy, router_name, send_key, spray_split,
 )
-from opposim.scenario import RadioConfig, RoutingConfig, ScenarioConfig
+from opposim.scenario import (RadioConfig, RoutingConfig, ScenarioConfig,
+                              load_scenario)
 from opposim.traffic import Message, TrafficConfig
 
 MB = 1_000_000
@@ -183,11 +184,10 @@ class TestEpidemicSelect:
 
     def test_flooding_reoffers_evicted_copies(self):
         # epidemic keeps no per-peer history: a former custodian that lost
-        # its copy to eviction is offered the message again
+        # its copy to eviction is offered the message again, even by a copy
+        # that records it as one
         b = Buffer()
-        m1 = msg(1, dst=99)
-        m1.custodians.update({0, 5})
-        buffer_admit(b, m1, 10)
+        buffer_admit(b, msg(1, dst=99), 10, {0, 5})
         plans = EPIDEMIC.select_transfers(b, PeerSummary(5, frozenset(), []))
         assert [key[2] for key in plans] == [1]
 
@@ -221,9 +221,7 @@ class TestSnwSelect:
 
     def test_seen_peer_not_sprayed(self):
         b = Buffer()
-        m = msg(1, dst=99)
-        m.custodians.update({0, 5})
-        buffer_admit(b, m, tokens=8)
+        buffer_admit(b, msg(1, dst=99), tokens=8, custodians={0, 5})
         assert SNW.select_transfers(b, PeerSummary(5, frozenset(), [])) == []
         plans = SNW.select_transfers(b, PeerSummary(6, frozenset(), []))
         assert len(plans) == 1
@@ -237,7 +235,7 @@ def lookup_first_spray_rule(entry, peer):
         return False
     if m.destination == peer.node_id:
         return True
-    return entry.tokens >= 2 and peer.node_id not in m.custodians
+    return entry.tokens >= 2 and peer.node_id not in entry.custodians
 
 
 def test_spray_rule_order_keeps_the_lookup_first_answers():
@@ -250,11 +248,8 @@ def test_spray_rule_order_keeps_the_lookup_first_answers():
             ("buffer", "delivered", None)):
         case = (router, to_peer, tokens, custodian, held)
         m = msg(1, dst=peer_id if to_peer else 99)
-        m.custodians.add(0)
-        if custodian:
-            m.custodians.add(peer_id)
         local = Buffer()
-        buffer_admit(local, m, tokens)
+        buffer_admit(local, m, tokens, {0, peer_id} if custodian else {0})
         peer_buffer, delivered = Buffer(), set()
         if held == "buffer":
             buffer_admit(peer_buffer, msg(1, dst=m.destination), 1)
@@ -288,10 +283,8 @@ def check_spray_plans_against_full_scan(policy, seed):
         m = msg(mid, dst=rng.choice((peer_id, peer_id, 7, 99)),
                 size=rng.choice((MB // 2, MB, 2 * MB)),
                 created=float(rng.randint(0, 5)))
-        m.custodians.add(0)
-        if rng.random() < 0.3:
-            m.custodians.add(peer_id)
-        buffer_admit(local, m, rng.randint(1, 4))
+        custodians = {0, peer_id} if rng.random() < 0.3 else {0}
+        buffer_admit(local, m, rng.randint(1, 4), custodians)
         held = rng.random()
         if held < 0.2:
             buffer_admit(peer_buffer, msg(mid, dst=m.destination), 1)
@@ -355,17 +348,31 @@ class TestPolicies:
             assert policy_state(sim) == state
 
     def test_names_normalize(self):
-        assert make_policy("Epidemic").name == "epidemic"
-        assert make_policy("SprayAndWait").name == "snw"
-        assert make_policy("spray_and_wait").name == "snw"
-        assert make_policy("Spray-And-Wait").name == "snw"
-        assert make_policy("HRSON").name == "hrson"
-        with pytest.raises(RoutingError):
-            make_policy("prophet")
+        assert router_name("Epidemic") == "epidemic"
+        assert router_name("SprayAndWait") == "snw"
+        assert router_name("spray_and_wait") == "snw"
+        assert router_name("Spray-And-Wait") == "snw"
+        assert router_name(" HRSON ") == "hrson"
+        # hrson forwards as snw does; the world reads its gate off the name
+        assert make_policy("HRSON").name == "snw"
+        for name in ("prophet", ""):
+            with pytest.raises(RoutingError):
+                router_name(name)
+            with pytest.raises(RoutingError):
+                make_policy(name)
 
-    def test_hrson_forwards_like_snw(self):
-        b = Buffer()
-        buffer_admit(b, msg(1, dst=99), tokens=4)
-        peer = PeerSummary(5, frozenset(), [])
-        assert (make_policy("hrson").select_transfers(b, peer)
-                == make_policy("snw").select_transfers(b, peer))
+    def test_snw_under_the_home_gate_reports_as_hrson(self):
+        # hrson is snw forwarding under the world's home gate: an snw world
+        # with the gate set gives hrson's report, and without it another
+        def report(router, home_gate=None):
+            sim = Simulation(load_scenario("desk", router=router,
+                                           duration=4 * 3600.0), seed=2)
+            if home_gate is not None:
+                sim.home_gate = home_gate
+            return sim.run()
+
+        hrson = report("hrson")
+        assert report("snw", home_gate=True) == hrson
+        assert report("snw") != hrson
+        assert report("hrson", home_gate=False) == report("snw")
+        assert hrson.delivered > 0
