@@ -156,11 +156,11 @@ class Link:
 # The world
 # ---------------------------------------------------------------------------
 
-def _ring(cx: int, cy: int) -> Tuple[Tuple[int, int], ...]:
-    """A grid cell and its eight neighbours, column by column."""
-    x0, x1, y0, y1 = cx - 1, cx + 1, cy - 1, cy + 1
-    return ((x0, y0), (x0, cy), (x0, y1), (cx, y0), (cx, cy), (cx, y1),
-            (x1, y0), (x1, cy), (x1, y1))
+# Grid cell (cx, cy) has the key cx * _STRIDE + cy, one int. Keys differ
+# while |cy| <= _STRIDE // 2 (see `_check_cell_range`). A cell's ring, the
+# cell and its eight neighbours column by column, is its key plus `_RING`.
+_STRIDE = 2 ** 20 + 1
+_RING = tuple(dx * _STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 def _tick_index(time: float, tick: float) -> int:
@@ -181,8 +181,8 @@ def _tick_at_or_after(time: float, tick: float) -> int:
     return n if n * tick >= time else n + 1
 
 
-def _grid_remove(grid: Dict[Tuple[int, int], Dict[int, None]], nid: int,
-                 cell: Tuple[int, int]) -> None:
+def _grid_remove(grid: Dict[int, Dict[int, None]], nid: int,
+                 cell: int) -> None:
     """Take nid out of its bucket in a spatial grid; an emptied bucket
     goes, so a grid holds only the cells that hold a node."""
     bucket = grid[cell]
@@ -245,14 +245,19 @@ class Simulation:
         self.radio_events: List[Tuple[float, int, int, str, int]] = []
         self.mobility_events: List[Tuple[float, int]] = []
 
-        # spatial hash: every node in `grid`, AP-role nodes also in `ap_grid`
+        # spatial hash: every node in `grid`, AP-role nodes also in `ap_grid`.
+        # A node at (x, y) is in cell (cx, cy) = (int(x // cell_size),
+        # int(y // cell_size)), keyed cx * _STRIDE + cy here and in
+        # `cellver`, `node_cell`, `lazy_count` and `watchers`; its ring,
+        # column by column, is that key plus each offset of `_RING`.
         self.cell_size = self.link_model.range
-        self.grid: Dict[Tuple[int, int], Dict[int, None]] = {}
-        self.ap_grid: Dict[Tuple[int, int], Dict[int, None]] = {}
+        self._check_cell_range(static_positions)
+        self.grid: Dict[int, Dict[int, None]] = {}
+        self.ap_grid: Dict[int, Dict[int, None]] = {}
         # AP -> the other APs within range; empty for every other node
         self.ap_near: List[Set[int]] = [set() for _ in range(n)]
-        self.cellver: Dict[Tuple[int, int], int] = {}
-        self.node_cell: List[Tuple[int, int]] = [(-1, -1)] * n
+        self.cellver: Dict[int, int] = {}
+        self.node_cell: List[int] = [0] * n
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
         self.moving: Set[int] = set()
         # a free mover is stepped only from its check time on (see
@@ -260,14 +265,14 @@ class Simulation:
         # stepped every tick, and lazy_count[cell] the movers skipped in a
         # cell
         self.check_at: List[float] = [_EAGER] * n
-        self.lazy_count: Dict[Tuple[int, int], int] = {}
+        self.lazy_count: Dict[int, int] = {}
         self.client_scan_key: Dict[int, Tuple] = {}
         # nodes sleep on their ring's cells until `_bump_cell` wakes them:
         # watchers[cell] maps each node asleep on it to its token, its
         # sleep record: asleep[nid], a 1-tuple of an idle CLIENT's poll
         # time, or dormant[nid], a dormant AP's radio events (see _catch_up)
         self.asleep: List[Optional[Tuple[float]]] = [None] * n
-        self.watchers: Dict[Tuple[int, int], Dict[int, object]] = {}
+        self.watchers: Dict[int, Dict[int, object]] = {}
         self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
         self.dormant: Dict[int, List[Tuple[float, int, int, str, int]]] = {}
         # the replay jumps repeated cycles only when every time it computes
@@ -327,11 +332,24 @@ class Simulation:
         self.model = MobilityModel(self.graph, pois, profiles,
                                    cfg.mobility, self.rng_mobility)
 
+    def _check_cell_range(self, static_positions) -> None:
+        """Refuse a run that can reach a cell whose ring shares a key with
+        another cell: nodes stay within the map's bounds or at their static
+        and scripted positions, whose cells need |cy| < _STRIDE // 2. cx
+        needs no bound, as Python ints do not overflow."""
+        ys = ([0.0, self.graph.bounds[1]] if static_positions is None
+              else [p[1] for p in static_positions])
+        for y in ys + [p[1] for _, _, p in self.scripted_moves]:
+            if not abs(y // self.cell_size) < _STRIDE // 2:
+                raise ConfigError(f"position y = {y} lies beyond the cells "
+                                  f"the grid keys at range {self.cell_size}")
+
     def _init_positions(self) -> None:
+        size = self.cell_size
         for nid in range(self.n_nodes):
             p = self.model.position(nid, 0.0)
             self.pos[nid] = p
-            cell = (int(p[0] // self.cell_size), int(p[1] // self.cell_size))
+            cell = int(p[0] // size) * _STRIDE + int(p[1] // size)
             self.grid.setdefault(cell, {})[nid] = None
             self.node_cell[nid] = cell
         for t, nid in self.model.initial_wakes():
@@ -353,7 +371,7 @@ class Simulation:
         heapq.heappush(self.dormant.get(nid, self.radio_events),
                        (time, nid, self._radio_seq, kind, self.epoch[nid]))
 
-    def _bump_cell(self, cell: Tuple[int, int]) -> None:
+    def _bump_cell(self, cell: int) -> None:
         """Something in the cell changed: bump its version and wake the
         nodes asleep on it, the one place where a cell's change wakes one.
 
@@ -382,12 +400,13 @@ class Simulation:
         `token`, from the ring it slept on: its cell's, as a sleeper that
         moves bumps its old cell, and so wakes, before the grids move."""
         watchers = self.watchers
-        for cell in _ring(*self.node_cell[nid]):
-            bucket = watchers.get(cell)
+        own = self.node_cell[nid]
+        for d in _RING:
+            bucket = watchers.get(own + d)
             if bucket is not None and bucket.get(nid) is token:
                 del bucket[nid]
                 if not bucket:
-                    del watchers[cell]
+                    del watchers[own + d]
 
     def _next_poll(self, nid: int, last: float) -> float:
         """Event time of the first poll that has not run yet in the chain
@@ -412,16 +431,18 @@ class Simulation:
                 return due
 
     def _neighbors(self, nid: int,
-                   grid: Dict[Tuple[int, int], Dict[int, None]]) -> List[int]:
-        """Nodes of `grid` within radio range of nid, nid excluded, in
-        cell order and, within a cell, in the bucket's insertion order."""
+                   grid: Dict[int, Dict[int, None]]) -> List[int]:
+        """Nodes of `grid` within radio range of nid, nid excluded, in the
+        order of nid's ring, its cell key plus `_RING`: cell by cell,
+        column by column, and within a cell in the bucket's insertion
+        order."""
         pos = self.pos
         px, py = pos[nid]
         r2 = self.cell_size * self.cell_size
-        cx, cy = self.node_cell[nid]
+        cell = self.node_cell[nid]
         out = []
-        for cell in _ring(cx, cy):
-            bucket = grid.get(cell)
+        for d in _RING:
+            bucket = grid.get(cell + d)
             if bucket:
                 for other in bucket:
                     if other != nid:
@@ -461,7 +482,8 @@ class Simulation:
                 _co_channel_count(self.ap_near, other),
                 len(self.radio[other].clients))
             out.append(VisibleAp(other, est))
-        out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
+        if len(out) > 1:
+            out.sort(key=lambda v: (-v.estimated_bandwidth, v.node_id))
         return out
 
     # -- run loop ----------------------------------------------------------------
@@ -623,8 +645,8 @@ class Simulation:
             newpos = model.position(nid, t)
             cell = node_cell[nid]
             free = radio[nid].phase not in _LINKED
-            if (free and int(newpos[0] // size) == cell[0]
-                    and int(newpos[1] // size) == cell[1]):
+            if free and (int(newpos[0] // size) * _STRIDE
+                         + int(newpos[1] // size)) == cell:
                 if newpos != pos[nid]:
                     pos[nid] = newpos
                     self._bump_cell(cell)
@@ -642,7 +664,9 @@ class Simulation:
         if state.mode is not _MOVING:
             return
         cell = self.node_cell[nid]
-        until = state.leg.exit_time(t, cell, self.cell_size)
+        cx, cy = divmod(cell + _STRIDE // 2, _STRIDE)
+        until = state.leg.exit_time(t, (cx, cy - _STRIDE // 2),
+                                    self.cell_size)
         if until > t + self.config.tick:
             if self.check_at[nid] == _EAGER:
                 self.lazy_count[cell] = self.lazy_count.get(cell, 0) + 1
@@ -678,8 +702,8 @@ class Simulation:
         if newpos == self.pos[nid]:
             return
         old_cell = self.node_cell[nid]
-        new_cell = (int(newpos[0] // self.cell_size),
-                    int(newpos[1] // self.cell_size))
+        new_cell = (int(newpos[0] // self.cell_size) * _STRIDE
+                    + int(newpos[1] // self.cell_size))
         if nid in self.dormant:
             # in its old cell, as the live loop has it before the radio step
             self._wake(nid, _tick_index(t, self.config.tick) - 1)
@@ -824,8 +848,8 @@ class Simulation:
         self._bump_cell(cell)
         heap = self.dormant.get(nid)
         if heap is not None:        # registered after its own bump
-            for ring_cell in _ring(*cell):
-                self.watchers.setdefault(ring_cell, {})[nid] = heap
+            for d in _RING:
+                self.watchers.setdefault(cell + d, {})[nid] = heap
         self._resettle_neighborhood(nid, near, t)
 
     # -- the AP cycle ---------------------------------------------------------
@@ -899,8 +923,8 @@ class Simulation:
         own = self.node_cell[nid]
         if len(grid[own]) > 1:
             return False
-        for cell in _ring(*own):
-            if cell != own and cell in grid:
+        for d in _RING:
+            if d and own + d in grid:
                 return False
         return True
 
@@ -1128,7 +1152,8 @@ class Simulation:
         nid is a CLIENT: rescan events are pushed only for a CLIENT, and a
         CLIENT leaves that phase only through `_detach_client`, which bumps
         its epoch and so voids them."""
-        ring = _ring(*self.node_cell[nid])
+        own = self.node_cell[nid]
+        ring = [own + d for d in _RING]
         if not self._rescan_finds_change(nid, ring):
             token = self.asleep[nid] = (t,)   # a new object each time
             for cell in ring:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ class RadioState:
         self.connect_target = None
 
 
-@dataclass(frozen=True)
-class VisibleAp:
+class VisibleAp(NamedTuple):
     node_id: int
     estimated_bandwidth: float
 

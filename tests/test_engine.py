@@ -8,12 +8,13 @@ import pytest
 
 from opposim.batch import run_batch, sweep
 from opposim.engine import (
-    AuditError, Plane, Simulation, _co_channel_count, _ring, _tick_index, run,
-    stream_rng,
+    _STRIDE, AuditError, Plane, Simulation, _co_channel_count, _tick_index,
+    run, stream_rng,
 )
 from opposim.metrics import render_runs_csv
 from opposim.mobility import MobilitySettings, Mode
-from opposim.radio import Phase, TimingParams, effective_bandwidth
+from opposim.radio import (Phase, TimingParams, VisibleAp,
+                           effective_bandwidth)
 from opposim.routing import (SPRAY_MIN_TOKENS, EpidemicPolicy, HasView,
                              PeerSummary, buffer_admit)
 from opposim.scenario import (
@@ -193,10 +194,27 @@ def recount_planes(sim, t):
                 assert custodians is None, (t, mid)
 
 
+def cell_key(cx, cy):
+    """The documented key of grid cell (cx, cy): cx * _STRIDE + cy."""
+    return cx * _STRIDE + cy
+
+
+def ring_keys(cx, cy):
+    """Keys of cell (cx, cy) and its eight neighbours, column by column."""
+    return [cell_key(cx + dx, cy + dy) for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)]
+
+
+def pos_cell(sim, nid):
+    """(cx, cy) of the cell holding nid's position."""
+    x, y = sim.pos[nid]
+    return int(x // sim.cell_size), int(y // sim.cell_size)
+
+
 def recount_world(sim, t):
-    """Auditor: node_cell, grid and ap_grid recomputed from positions and
-    radio phases; every CLIENT either has one live event, a rescan or its
-    result, or sleeps with its token `asleep[nid]` on all nine cells of its
+    """Auditor: node_cell, grid and ap_grid recomputed from positions,
+    keyed cx * _STRIDE + cy, and radio phases; every CLIENT either has one
+    live event, a rescan or its result, or sleeps with its token `asleep[nid]` on all nine cells of its
     ring and the scan key of its ring's cell versions and AP now; no other
     node has a rescan event or a sleep token. A dormant node has no other
     node in its ring, no live radio event and no link on any plane, and is
@@ -207,9 +225,10 @@ def recount_world(sim, t):
     `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
-    assert sim.node_cell == cells
+    keys = [cell_key(cx, cy) for cx, cy in cells]
+    assert sim.node_cell == keys
     grid, ap_grid = {}, {}
-    for nid, cell in enumerate(cells):
+    for nid, cell in enumerate(keys):
         grid.setdefault(cell, set()).add(nid)
         if sim.radio[nid].phase is Phase.AP:
             ap_grid.setdefault(cell, set()).add(nid)
@@ -223,7 +242,7 @@ def recount_world(sim, t):
         token = sim.asleep[nid]
         if state.phase is Phase.CLIENT and token is not None:
             assert nid not in live
-            ring = _ring(*cells[nid])
+            ring = ring_keys(*cells[nid])
             for cell in ring:
                 assert sim.watchers[cell][nid] is token
             assert sim.client_scan_key[nid] == (
@@ -235,7 +254,7 @@ def recount_world(sim, t):
             assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
             assert (nid in live) != (nid in sim.dormant)
     for nid, heap in sim.dormant.items():
-        ring = _ring(*cells[nid])
+        ring = ring_keys(*cells[nid])
         assert all(grid.get(cell, {nid}) == {nid} for cell in ring)
         assert not any(plane.links[nid] for plane in sim.planes)
         assert {c for c, b in sim.watchers.items()
@@ -255,7 +274,7 @@ def recount_lazy(sim, t):
     counted, and no client sleeps on their cells."""
     size = sim.cell_size
     rings = {cell for nid in sim.dormant
-             for cell in _ring(*sim.node_cell[nid])}
+             for cell in ring_keys(*pos_cell(sim, nid))}
     lazy = {}
     for nid, until in enumerate(sim.check_at):
         if until == -math.inf:
@@ -267,7 +286,7 @@ def recount_lazy(sim, t):
         assert cell not in rings
         x, y = sim.model.position(nid, t)
         assert sim.pos[nid] == (x, y)
-        assert cell == (int(x // size), int(y // size))
+        assert cell == cell_key(int(x // size), int(y // size))
         lazy[cell] = lazy.get(cell, 0) + 1
     assert sim.lazy_count == lazy
     for cell in lazy:
@@ -744,13 +763,142 @@ class TestLonelyMovingAp:
         assert all(seen[t][:3] == ([], [], full) for t in range(32, 38))
 
 
+def scanned_neighbors(sim, nid, grid, members):
+    """Reference for `_neighbors`: a scan of every node of `members`
+    within range of nid, nid excluded, ordered by cell, column by column,
+    then by the order in which the node entered its bucket of `grid`."""
+    px, py = sim.pos[nid]
+    r2 = sim.cell_size * sim.cell_size
+    found = []
+    for other in members:
+        ox, oy = sim.pos[other]
+        if other != nid and (ox - px) ** 2 + (oy - py) ** 2 <= r2:
+            cell = pos_cell(sim, other)
+            found.append((cell, list(grid[cell_key(*cell)]).index(other),
+                          other))
+    return [other for *_, other in sorted(found)]
+
+
+def check_neighbors(sim, t):
+    """Auditor: `_neighbors` on both grids equals the scan of every node
+    and of every AP; returns how many nodes had an AP in range, and how
+    many had nodes in range in two or more cells."""
+    everyone = range(sim.n_nodes)
+    aps = [n for n, st in enumerate(sim.radio) if st.phase is Phase.AP]
+    with_ap = spread = 0
+    for nid in everyone:
+        near = sim._neighbors(nid, sim.grid)
+        assert near == scanned_neighbors(sim, nid, sim.grid, everyone), (
+            t, nid)
+        spread += len({pos_cell(sim, other) for other in near}) > 1
+        near = sim._neighbors(nid, sim.ap_grid)
+        assert near == scanned_neighbors(sim, nid, sim.ap_grid, aps), (t, nid)
+        with_ap += bool(near)
+    return with_ap, spread
+
+
+class TestSpatialGrid:
+    """The world's cell keys, its neighbour query against a scan of every
+    node, and the guard on positions whose cells cannot be keyed."""
+
+    @pytest.mark.parametrize("preset,duration", [("desk", 50000.0),
+                                                 ("scenario4", 36000.0)])
+    def test_neighbors_match_a_scan_on_the_city_map(self, preset, duration):
+        kw = {"nodes": 80} if preset == "scenario4" else {}
+        cfg = load_scenario(preset, router="hrson", duration=duration, **kw)
+        counts = []
+        sim = Simulation(cfg, seed=3, audit_interval=30.0, auditors=[
+            lambda sim, t: counts.append(check_neighbors(sim, t))])
+        sim.run()
+        assert len(counts) == math.ceil(duration / 30) - 1
+        # nodes had APs in range, and nodes in range in several cells
+        assert min(map(sum, zip(*counts))) > 100
+
+    def test_neighbors_match_a_scan_on_cell_edges(self):
+        # range and cell size are 20 m: nodes on the lines between cells,
+        # at negative coordinates and far out on x, where cell indices
+        # need no bound; node pairs exactly 20 m apart are in range
+        positions = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (-20.0, 0.0),
+                     (0.0, -20.0), (-20.0, -20.0), (-40.0, -20.0),
+                     (-40.0, -40.0), (-0.0, -0.0), (19.999, 20.0),
+                     (-60.0, -40.0), (1e12, 3.0), (1e12 + 20.0, 3.0),
+                     (1e12 - 20.0, -17.0)]
+        counts = []
+        sim = Simulation(scripted_config(duration=120.0), 1,
+                         static_positions=positions,
+                         ap_gate={0: True, 3: True, 6: True, 11: True},
+                         auditors=[recount_world, lambda sim, t:
+                                   counts.append(check_neighbors(sim, t))],
+                         audit_interval=1.0)
+        assert sim._neighbors(0, sim.grid) == [3, 4, 8, 2, 1]
+        assert sim._neighbors(11, sim.grid) == [12]
+        check_neighbors(sim, 0.0)
+        sim.run()
+        assert len(counts) == 119
+        assert min(map(max, zip(*counts))) >= 6
+
+    def test_visible_aps_fastest_first_ties_by_id(self):
+        sim = Simulation(scripted_config(), 1, static_positions=[
+            (0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (3.0, 3.0)])
+        assert sim._visible_aps(0) == []
+        for nid in (3, 2, 1):           # enter the AP grid in reverse order
+            sim.radio[nid].phase = Phase.AP
+            sim.ap_grid.setdefault(sim.node_cell[nid], {})[nid] = None
+            if nid == 3:
+                only = sim._visible_aps(0)
+                assert only == [VisibleAp(3, 5 * MB)]
+        full = sim._visible_aps(0)
+        assert [v.node_id for v in full] == [1, 2, 3]
+        assert {v.estimated_bandwidth for v in full} == {5 * MB}
+        sim.radio[1].clients[2] = None  # AP 1's rate halves
+        assert sim._visible_aps(0) == [VisibleAp(2, 5 * MB),
+                                       VisibleAp(3, 5 * MB),
+                                       VisibleAp(1, 2.5 * MB)]
+        assert VisibleAp._fields == ("node_id", "estimated_bandwidth")
+
+    @pytest.mark.parametrize("positions,moves", [
+        # a static position and a scripted move far off the map in y
+        ([(0.0, 0.0), (5.0, 1e9)], []),
+        ([(0.0, 0.0), (5.0, 0.0)], [(10.0, 1, (5.0, -1e9))]),
+        # the first cell index that has no room for its ring, both signs
+        ([(0.0, 20.0 * (_STRIDE // 2))], []),
+        ([(0.0, -20.0 * (_STRIDE // 2))], []),
+        ([(0.0, math.inf)], []),
+        ([(0.0, 0.0)], [(5.0, 0, (0.0, math.nan))]),
+    ])
+    def test_cells_beyond_the_keys_are_refused(self, positions, moves):
+        with pytest.raises(ConfigError):
+            Simulation(scripted_config(), 1, static_positions=positions,
+                       scripted_moves=moves)
+
+    def test_cells_at_the_key_limit_run(self):
+        # the last cell index whose ring keys apart, both signs; cx has
+        # no bound
+        top = 20.0 * (_STRIDE // 2) - 0.5
+        bottom = -20.0 * (_STRIDE // 2 - 1)
+        sim = Simulation(scripted_config(), 1,
+                         static_positions=[(0.0, top), (3.0, top),
+                                           (-1e15, bottom)],
+                         scripted_moves=[(5.0, 2, (0.0, bottom + 10.0))])
+        check_neighbors(sim, 0.0)
+        sim.run()
+        check_neighbors(sim, sim.clock)
+
+    def test_a_map_too_tall_for_the_keys_is_refused(self):
+        cfg = load_scenario("desk", router="snw", duration=3600.0,
+                            overrides=["radio.range=0.0001"])
+        with pytest.raises(ConfigError):
+            Simulation(cfg, 1)
+
+
 class PollingSimulation(Simulation):
     """The world with the client rescan loop that sleeping clients
     replaced: a CLIENT whose rescan finds nothing changed polls again
     `client_rescan` later. It never sleeps, so nothing wakes it."""
 
     def _client_rescan(self, nid, t):
-        if not self._rescan_finds_change(nid, _ring(*self.node_cell[nid])):
+        if not self._rescan_finds_change(nid,
+                                         ring_keys(*pos_cell(self, nid))):
             self._push_radio(t + self.config.radio.client_rescan, nid,
                              "rescan")
             return
@@ -1040,8 +1188,8 @@ class EagerSimulation(Simulation):
             newpos = model.position(nid, t)
             cell = self.node_cell[nid]
             if (self.radio[nid].phase not in (Phase.AP, Phase.CLIENT)
-                    and int(newpos[0] // size) == cell[0]
-                    and int(newpos[1] // size) == cell[1]):
+                    and cell_key(int(newpos[0] // size),
+                                 int(newpos[1] // size)) == cell):
                 if newpos != self.pos[nid]:
                     self.pos[nid] = newpos
                     self._bump_cell(cell)
