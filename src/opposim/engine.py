@@ -1163,11 +1163,12 @@ class Simulation:
 
     def _rescan_finds_change(self, nid: int, ring) -> bool:
         """Whether CLIENT nid's ring changed since its last background
-        scan, which then records the ring's new scan key: the versions of
-        its nine cells and nid's AP. A cell that holds a skipped mover
-        counts as changed, as stepping that mover every tick bumped it
-        (see `_mobility_step`)."""
-        key = (*map(self.cellver.get, ring), self.radio[nid].attached_ap)
+        scan, which then records the ring's new scan key: nid's cell, the
+        versions of its nine cells and nid's AP. A cell that holds a
+        skipped mover counts as changed, as stepping that mover every tick
+        bumped it (see `_mobility_step`)."""
+        key = (self.node_cell[nid], *map(self.cellver.get, ring),
+               self.radio[nid].attached_ap)
         lazy = self.lazy_count
         if (self.client_scan_key.get(nid) == key
                 and (not lazy or lazy.keys().isdisjoint(ring))):

@@ -214,9 +214,10 @@ def pos_cell(sim, nid):
 def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions,
     keyed cx * _STRIDE + cy, and radio phases; every CLIENT either has one
-    live event, a rescan or its result, or sleeps with its token `asleep[nid]` on all nine cells of its
-    ring and the scan key of its ring's cell versions and AP now; no other
-    node has a rescan event or a sleep token. A dormant node has no other
+    live event, a rescan or its result, or sleeps with its token
+    `asleep[nid]` on all nine cells of its ring and the scan key of its
+    cell, its ring's cell versions and AP now; no other node has a rescan
+    event or a sleep token. A dormant node has no other
     node in its ring, no live radio event and no link on any plane, and is
     registered with its heap `dormant[nid]` as token on exactly the nine
     cells of its ring; every other node that does not sleep has a live
@@ -246,7 +247,8 @@ def recount_world(sim, t):
             for cell in ring:
                 assert sim.watchers[cell][nid] is token
             assert sim.client_scan_key[nid] == (
-                *map(sim.cellver.get, ring), state.attached_ap), (t, nid)
+                keys[nid], *map(sim.cellver.get, ring),
+                state.attached_ap), (t, nid)
         elif state.phase is Phase.CLIENT:
             assert live.get(nid) in (["rescan"], ["rescan_result"])
         else:
@@ -928,6 +930,37 @@ class TestClientRescan:
                             overrides=overrides, **kw)
         assert Simulation(cfg, seed).run() == PollingSimulation(cfg,
                                                                 seed).run()
+
+    def test_a_client_that_changed_cell_scans(self):
+        # a client's last scan tells nothing about a cell it has moved
+        # to since: every poll in another cell scans. On desk at seed
+        # 1000, nodes 36 and 41 scan in cell (5, 5) and poll in (0, 5) at
+        # 58,625 s and 58,630 s
+        class Watched(Simulation):
+            def __init__(self, *args, **kwargs):
+                self.scan_cell = {}
+                self.skipped = []
+                self.scanned = False
+                super().__init__(*args, **kwargs)
+
+            def _push_radio(self, time, nid, kind):
+                self.scanned |= kind == "rescan_result"
+                super()._push_radio(time, nid, kind)
+
+            def _client_rescan(self, nid, t):
+                self.scanned = False
+                super()._client_rescan(nid, t)
+                cell = self.node_cell[nid]
+                if self.scanned:
+                    self.scan_cell[nid] = cell
+                elif self.scan_cell.get(nid, cell) != cell:
+                    self.skipped.append((t, nid))
+
+        cfg = load_scenario("desk", router="epidemic", duration=59000.0)
+        sim = Watched(cfg, 1000)
+        sim.run()
+        assert len(sim.scan_cell) > 10
+        assert sim.skipped == []
 
 
 class CountingSimulation(Simulation):
