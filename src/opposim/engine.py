@@ -248,15 +248,14 @@ class Simulation:
         # spatial hash: every node in `grid`, AP-role nodes also in `ap_grid`.
         # A node at (x, y) is in cell (cx, cy) = (int(x // cell_size),
         # int(y // cell_size)), keyed cx * _STRIDE + cy here and in
-        # `cellver`, `node_cell`, `lazy_count` and `watchers`; its ring,
-        # column by column, is that key plus each offset of `_RING`.
+        # `node_cell`, `lazy_count` and `watchers`; its ring, column by
+        # column, is that key plus each offset of `_RING`.
         self.cell_size = self.link_model.range
         self._check_cell_range(static_positions)
         self.grid: Dict[int, Dict[int, None]] = {}
         self.ap_grid: Dict[int, Dict[int, None]] = {}
         # AP -> the other APs within range; empty for every other node
         self.ap_near: List[Set[int]] = [set() for _ in range(n)]
-        self.cellver: Dict[int, int] = {}
         self.node_cell: List[int] = [0] * n
         self.pos: List[Tuple[float, float]] = [(0.0, 0.0)] * n
         self.moving: Set[int] = set()
@@ -266,12 +265,12 @@ class Simulation:
         # cell
         self.check_at: List[float] = [_EAGER] * n
         self.lazy_count: Dict[int, int] = {}
-        self.client_scan_key: Dict[int, Tuple] = {}
-        # nodes sleep on their ring's cells until `_bump_cell` wakes them:
-        # watchers[cell] maps each node asleep on it to its token, its
-        # sleep record: asleep[nid], a 1-tuple of an idle CLIENT's poll
-        # time, or dormant[nid], a dormant AP's radio events (see _catch_up)
-        self.asleep: List[Optional[Tuple[float]]] = [None] * n
+        # nodes register on their ring's cells until `_bump_cell` drops
+        # the registration: watchers[cell] maps each node registered on it
+        # to its token, scan_token[nid], a CLIENT's since its last scan (a
+        # 1-list of its poll time while it sleeps, of None while awake), or
+        # dormant[nid], a dormant AP's radio events (see _catch_up)
+        self.scan_token: List[Optional[List[Optional[float]]]] = [None] * n
         self.watchers: Dict[int, Dict[int, object]] = {}
         self._radio_mark: Tuple = (-math.inf,)  # largest live event handled
         self.dormant: Dict[int, List[Tuple[float, int, int, str, int]]] = {}
@@ -372,33 +371,35 @@ class Simulation:
                        (time, nid, self._radio_seq, kind, self.epoch[nid]))
 
     def _bump_cell(self, cell: int) -> None:
-        """Something in the cell changed: bump its version and wake the
-        nodes asleep on it, the one place where a cell's change wakes one.
+        """Something in the cell changed: drop the registrations on it, the
+        one place where a cell's change reaches the nodes that wait on it.
+        A CLIENT's next poll then scans (`_client_rescan`), and one asleep
+        is woken with that poll; a dormant node wakes.
 
-        Every registration is current: its token is the node's sleep
-        record, `asleep[nid]` or `dormant[nid]`, and a sleeper that wakes
-        drops its registrations (`_unwatch`). A node that acts bumps its
-        own cell and a dormant ring holds only its owner, so a dormant node
-        wakes only when a node enters its ring, before `_apply_move` moves
-        the grids."""
-        self.cellver[cell] = self.cellver.get(cell, 0) + 1
-        sleepers = self.watchers.pop(cell, None)
-        if sleepers:
-            asleep = self.asleep
-            for nid, token in sleepers.items():
-                if token is asleep[nid]:
-                    asleep[nid] = None
+        Every registration is current: its token is the node's
+        `scan_token[nid]` or `dormant[nid]`, and a node that drops one
+        drops all nine (`_unwatch`). A node that acts bumps its own cell
+        and a dormant ring holds only its owner, so a dormant node wakes
+        only when a node enters its ring, before `_apply_move` moves the
+        grids."""
+        waiting = self.watchers.pop(cell, None)
+        if waiting:
+            scan_token = self.scan_token
+            for nid, token in waiting.items():
+                if token is scan_token[nid]:
+                    scan_token[nid] = None
                     self._unwatch(nid, token)
-                    self._push_radio(self._next_poll(nid, token[0]), nid,
-                                     "rescan")
+                    if token[0] is not None:
+                        self._push_radio(self._next_poll(nid, token[0]),
+                                         nid, "rescan")
                 elif token is self.dormant.get(nid):
                     self._wake(nid,
                                _tick_index(self.clock, self.config.tick) - 1)
 
     def _unwatch(self, nid: int, token) -> None:
-        """Drop sleeper nid's registrations, those with its sleep record
-        `token`, from the ring it slept on: its cell's, as a sleeper that
-        moves bumps its old cell, and so wakes, before the grids move."""
+        """Drop nid's registrations, those with its token, from the ring
+        it registered on: its cell's, as a registered node that moves bumps
+        its old cell, and so drops them, before the grids move."""
         watchers = self.watchers
         own = self.node_cell[nid]
         for d in _RING:
@@ -600,21 +601,21 @@ class Simulation:
           link checks read APs and clients, and `_resettle_neighborhood`
           keeps only busy APs of the neighbours it lists.
         - Its cell is not bumped while it is skipped, where every tick
-          bumped it. `cellver` is read only through a client's scan key,
-          and `_rescan_finds_change` counts a cell that holds a skipped
-          mover as changed: it was bumped at this very tick, by the step
-          that armed the mover or by a skipped one. A mover leaves the
-          skipped set with a bump of its cell: the step at its check
-          time, `_apply_move` at its mobility wake (its stale position
-          lies before its leg's end) or a move, `_ap_created`, and
-          `_finish_connect`. So each interval between two scans sees a
-          change of the cell, or the skipped mover at its end, exactly
-          when the per-tick bumps changed the cell in it.
+          bumped it. A bump only drops the registrations on the cell, and
+          `_client_rescan` scans whenever a cell of the ring holds a
+          skipped mover, as if a bump at this very tick, by the step that
+          armed the mover or by a skipped one, had dropped its
+          registration. A mover leaves the skipped set with a bump of its
+          cell: the step at its check time, `_apply_move` at its mobility
+          wake (its stale position lies before its leg's end) or a move,
+          `_ap_created`, and `_finish_connect`. So each interval between
+          two polls sees a bump of the cell, or the skipped mover at its
+          end, exactly when the per-tick bumps bumped the cell in it.
         - The bumps left out wake no one. No client sleeps on a cell that
           holds a skipped mover: the bump that arms a mover wakes the
-          cell's sleepers, and no client goes to sleep on a changed cell.
-          No dormant ring holds it: it stays in its cell, and no node goes
-          dormant with another in its ring."""
+          cell's sleepers, and a client with a skipped mover in its ring
+          scans rather than sleeps. No dormant ring holds it: it stays in
+          its cell, and no node goes dormant with another in its ring."""
         model = self.model
         events = self.mobility_events
         while events and events[0][0] <= t:
@@ -952,8 +953,9 @@ class Simulation:
           empty. A node connecting to it from afar fails on range
           whatever its phase, and the auditors see it caught up to their
           tick.
-        - Its cell bumps skip `_bump_cell`, which would wake nid itself: a
-          client watching its cell would lie in its ring.
+        - Its role changes bump no cell: `_bump_cell` would wake nid
+          itself, and no other node is registered on its cell, as a
+          client registered there would lie in nid's ring.
         - `_radio_mark` cannot tell a skipped event apart. nid's steps
           push nid's events only, so an event of another node handled
           after one of nid's descends from an event that was in the heap
@@ -981,7 +983,7 @@ class Simulation:
           the same steps P = (n - n0) * tick apart, and so is every
           period after them. m whole periods fit before tick `last`; the
           jump shifts nid's times and live events by m * P and adds m
-          periods' worth of epochs and cell bumps.
+          periods' worth of epochs.
         - The arithmetic does not see the shift. The replay jumps only
           when the tick and the scan, rest, AP, idle and longest-term
           times are whole seconds (`_replay_jumps`). Every time the cycle
@@ -1003,7 +1005,6 @@ class Simulation:
         tick = self.config.tick
         upto = last * tick
         was_ap = state.phase is AP
-        bumps = 0
         seen = {} if self._replay_jumps else None
         while events and events[0][0] <= upto:
             time, _, _, kind, epoch = heapq.heappop(events)
@@ -1014,10 +1015,8 @@ class Simulation:
             if kind == "phase":
                 if self._timer_step(nid, state, (), t):
                     self._take_ap_role(nid, state, t)
-                    bumps += 1
             elif self._apcheck_step(nid, state, t):
                 self._leave_ap_role(nid, state, t)
-                bumps += 1
             if seen is None:
                 continue
             epoch = epochs[nid]
@@ -1025,7 +1024,7 @@ class Simulation:
             key = (kind, state.phase, state.timer_expiry - t,
                    state.ap_since - t, state.last_client_change - t,
                    tuple((e[0] - t, e[3]) for e in live))
-            n0, epoch0, bumps0 = seen.setdefault(key, (n, epoch, bumps))
+            n0, epoch0 = seen.setdefault(key, (n, epoch))
             if n0 == n:
                 continue
             seen = None
@@ -1035,19 +1034,14 @@ class Simulation:
             state.ap_since += shift
             state.last_client_change += shift
             epochs[nid] += periods * (epoch - epoch0)
-            bumps += periods * (bumps - bumps0)
             events.clear()
             for time, _, _, kind, _ in live:
                 self._push_radio(time + shift, nid, kind)
-        if not bumps:
-            return
-        cell = self.node_cell[nid]
-        self.cellver[cell] = self.cellver.get(cell, 0) + bumps
         is_ap = state.phase is AP
         if is_ap and not was_ap:
-            self.ap_grid.setdefault(cell, {})[nid] = None
+            self.ap_grid.setdefault(self.node_cell[nid], {})[nid] = None
         elif was_ap and not is_ap:
-            _grid_remove(self.ap_grid, nid, cell)
+            _grid_remove(self.ap_grid, nid, self.node_cell[nid])
 
     def _wake(self, nid: int, last: int) -> None:
         """nid stops being dormant after tick `last`: its events up to that
@@ -1090,7 +1084,6 @@ class Simulation:
         if self.check_at[nid] != _EAGER:
             self._unarm(nid)
             self._bump_cell(self.node_cell[nid])
-        self.client_scan_key.pop(nid, None)
         self._push_radio(t + self.config.radio.client_rescan, nid, "rescan")
         for plane in self.planes:
             plane._establish_link(target, nid, t)
@@ -1117,9 +1110,9 @@ class Simulation:
                 self._push_radio(t + self.config.radio.ap_idle_timeout,
                                  ap, "apcheck")
         self.epoch[nid] += 1
-        token = self.asleep[nid]
+        token = self.scan_token[nid]
         if token is not None:
-            self.asleep[nid] = None
+            self.scan_token[nid] = None
             self._unwatch(nid, token)
         if rescan:
             self._scan_again(nid, state, t)
@@ -1128,20 +1121,25 @@ class Simulation:
         """A CLIENT's background look for a faster AP, `client_rescan`
         after it connected or last scanned.
 
-        When the versions of the nine cells around it and its AP are those
-        of its last scan, it does not scan: it sleeps, registered on those
-        cells, until `_bump_cell` wakes it with the poll that a client
-        polling every `client_rescan` would have handled next. That poll
-        is the first to find a changed key, so the reports are those of
-        the polling loop:
+        A poll that scans registers the client on the nine cells around
+        it, unless it is still registered from an earlier scan, and a bump
+        of any of them drops the registration (`_bump_cell`). A poll that
+        finds it still registered, with no skipped mover in its ring, does
+        not scan: the client sleeps on that registration until a bump
+        wakes it with the poll that a client polling every `client_rescan`
+        would have handled next. Such a client scans unless its cell and
+        the versions of its ring, each cell's count of bumps, are those of
+        its last scan, and the woken poll is the first to find them
+        changed; so the reports are those of the polling loop:
 
-        - `cellver` only grows: until a cell of the ring is bumped every
-          poll finds the same key and only pushes the next one, and after
-          it every poll finds a changed one.
+        - Versions only grow, so the ring of the same cell kept its
+          versions exactly while no cell of it was bumped.
         - A client that changes cell bumps its old cell, which is in the
-          ring it slept on.
-        - A change of AP goes through detach, which voids the token, and
-          connect, which starts a new chain.
+          ring it registered on.
+        - A change of AP goes through detach, which drops the
+          registration, and connect, which starts a new chain.
+        - A cell that holds a skipped mover counts as changed, as stepping
+          that mover every tick bumped it (see `_mobility_step`).
         - `_radio_seq` breaks ties only between events of one node at one
           time, and a CLIENT has at most one live event, so the polls
           left out reorder nothing.
@@ -1153,28 +1151,18 @@ class Simulation:
         CLIENT leaves that phase only through `_detach_client`, which bumps
         its epoch and so voids them."""
         own = self.node_cell[nid]
-        ring = [own + d for d in _RING]
-        if not self._rescan_finds_change(nid, ring):
-            token = self.asleep[nid] = (t,)   # a new object each time
-            for cell in ring:
-                self.watchers.setdefault(cell, {})[nid] = token
-            return
-        self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
-
-    def _rescan_finds_change(self, nid: int, ring) -> bool:
-        """Whether CLIENT nid's ring changed since its last background
-        scan, which then records the ring's new scan key: nid's cell, the
-        versions of its nine cells and nid's AP. A cell that holds a
-        skipped mover counts as changed, as stepping that mover every tick
-        bumped it (see `_mobility_step`)."""
-        key = (self.node_cell[nid], *map(self.cellver.get, ring),
-               self.radio[nid].attached_ap)
+        token = self.scan_token[nid]
         lazy = self.lazy_count
-        if (self.client_scan_key.get(nid) == key
-                and (not lazy or lazy.keys().isdisjoint(ring))):
-            return False
-        self.client_scan_key[nid] = key
-        return True
+        if token is not None and (
+                not lazy or lazy.keys().isdisjoint([own + d for d in _RING])):
+            token[0] = t
+            return
+        if token is None:
+            token = self.scan_token[nid] = [None]
+            watchers = self.watchers
+            for d in _RING:
+                watchers.setdefault(own + d, {})[nid] = token
+        self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
 
     def _client_rescan_result(self, nid: int, t: float) -> None:
         """A CLIENT's background scan ends: it moves to a visible AP that

@@ -77,17 +77,8 @@ class Buffer:
         # changes leave it alone
         self.version = 0
 
-    def __contains__(self, msg_id: int) -> bool:
-        return msg_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def get(self, msg_id: int) -> Optional[BufferEntry]:
         return self.entries.get(msg_id)
-
-    def ids(self) -> List[int]:
-        return list(self.entries.keys())
 
     def remove(self, msg_id: int) -> Optional[BufferEntry]:
         entry = self.entries.pop(msg_id, None)

@@ -211,18 +211,23 @@ def pos_cell(sim, nid):
     return int(x // sim.cell_size), int(y // sim.cell_size)
 
 
+def sleeps(sim, nid):
+    """Whether nid is a CLIENT asleep: its token holds its poll time."""
+    token = sim.scan_token[nid]
+    return token is not None and token[0] is not None
+
+
 def recount_world(sim, t):
     """Auditor: node_cell, grid and ap_grid recomputed from positions,
-    keyed cx * _STRIDE + cy, and radio phases; every CLIENT either has one
-    live event, a rescan or its result, or sleeps with its token
-    `asleep[nid]` on all nine cells of its ring and the scan key of its
-    cell, its ring's cell versions and AP now; no other node has a rescan
-    event or a sleep token. A dormant node has no other
-    node in its ring, no live radio event and no link on any plane, and is
-    registered with its heap `dormant[nid]` as token on exactly the nine
-    cells of its ring; every other node that does not sleep has a live
-    radio event. Every registration in `watchers` is current: its token is
-    the node's `asleep[nid]` or `dormant[nid]`. The skipped movers pass
+    keyed cx * _STRIDE + cy, and radio phases. A CLIENT either has one
+    live event, a rescan or its result, or sleeps, its token
+    `scan_token[nid]` holding its poll time; no other node has a rescan
+    event or a token. A dormant node has no other node in its ring, no
+    live radio event and no link on any plane; every other node that does
+    not sleep has a live radio event. Each token, a CLIENT's
+    `scan_token[nid]` or a dormant node's heap `dormant[nid]`, is
+    registered on exactly the nine cells of its node's ring, and
+    `watchers` holds no other registration. The skipped movers pass
     `recount_lazy`."""
     size = sim.cell_size
     cells = [(int(x // size), int(y // size)) for x, y in sim.pos]
@@ -239,33 +244,31 @@ def recount_world(sim, t):
     for _, nid, _, kind, epoch in sim.radio_events:
         if epoch == sim.epoch[nid]:
             live.setdefault(nid, []).append(kind)
-    for nid, state in enumerate(sim.radio):
-        token = sim.asleep[nid]
-        if state.phase is Phase.CLIENT and token is not None:
-            assert nid not in live
-            ring = ring_keys(*cells[nid])
-            for cell in ring:
-                assert sim.watchers[cell][nid] is token
-            assert sim.client_scan_key[nid] == (
-                keys[nid], *map(sim.cellver.get, ring),
-                state.attached_ap), (t, nid)
-        elif state.phase is Phase.CLIENT:
-            assert live.get(nid) in (["rescan"], ["rescan_result"])
-        else:
-            assert token is None, (t, nid)
-            assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
-            assert (nid in live) != (nid in sim.dormant)
-    for nid, heap in sim.dormant.items():
-        ring = ring_keys(*cells[nid])
-        assert all(grid.get(cell, {nid}) == {nid} for cell in ring)
-        assert not any(plane.links[nid] for plane in sim.planes)
-        assert {c for c, b in sim.watchers.items()
-                if b.get(nid) is heap} == set(ring), (t, nid)
+    registered = {}
     for cell, bucket in sim.watchers.items():
         assert bucket, (t, cell)
         for nid, token in bucket.items():
-            assert (token is sim.asleep[nid]
-                    or token is sim.dormant.get(nid)), (t, cell, nid)
+            registered.setdefault(nid, {})[cell] = token
+    for nid, state in enumerate(sim.radio):
+        token = sim.scan_token[nid]
+        if state.phase is not Phase.CLIENT:
+            assert token is None, (t, nid)
+            assert not {"rescan", "rescan_result"} & set(live.get(nid, ()))
+            assert (nid in live) != (nid in sim.dormant)
+            token = sim.dormant.get(nid)
+        elif sleeps(sim, nid):
+            assert nid not in live
+        else:
+            assert live.get(nid) in (["rescan"], ["rescan_result"])
+        by_cell = registered.pop(nid, {})
+        if token is not None:
+            assert set(by_cell) == set(ring_keys(*cells[nid])), (t, nid)
+        assert all(tok is token for tok in by_cell.values()), (t, nid)
+    assert not registered, t
+    for nid in sim.dormant:
+        ring = ring_keys(*cells[nid])
+        assert all(grid.get(cell, {nid}) == {nid} for cell in ring)
+        assert not any(plane.links[nid] for plane in sim.planes)
     recount_lazy(sim, t)
 
 
@@ -292,8 +295,8 @@ def recount_lazy(sim, t):
         lazy[cell] = lazy.get(cell, 0) + 1
     assert sim.lazy_count == lazy
     for cell in lazy:
-        for nid, token in sim.watchers.get(cell, {}).items():
-            assert token is not sim.asleep[nid], (t, cell, nid)
+        for nid in sim.watchers.get(cell, {}):
+            assert not sleeps(sim, nid), (t, cell, nid)
 
 
 class TestScriptedTwoNode:
@@ -634,7 +637,7 @@ class TestEngineInvariants:
         def count(sim, t):
             clients = [n for n, st in enumerate(sim.radio)
                        if st.phase is Phase.CLIENT]
-            asleep = sum(1 for n in clients if sim.asleep[n] is not None)
+            asleep = sum(1 for n in clients if sleeps(sim, n))
             dormant_aps = sum(1 for n in sim.dormant
                               if sim.radio[n].phase is Phase.AP)
             seen.append((asleep, len(clients) - asleep, len(sim.moving),
@@ -895,15 +898,36 @@ class TestSpatialGrid:
 
 class PollingSimulation(Simulation):
     """The world with the client rescan loop that sleeping clients
-    replaced: a CLIENT whose rescan finds nothing changed polls again
-    `client_rescan` later. It never sleeps, so nothing wakes it."""
+    replaced: a CLIENT polls every `client_rescan`, and scans unless its
+    scan key, its cell, the versions of its ring's nine cells and its AP,
+    is that of its last scan, and no cell of the ring holds a skipped
+    mover. It counts the versions itself, one per bump of a cell, and
+    never registers, so nothing wakes it."""
+
+    def __init__(self, *args, **kwargs):
+        self.versions = {}
+        self.scan_keys = {}
+        super().__init__(*args, **kwargs)
+
+    def _bump_cell(self, cell):
+        self.versions[cell] = self.versions.get(cell, 0) + 1
+        super()._bump_cell(cell)
+
+    def _finish_connect(self, nid, t):
+        self.scan_keys.pop(nid, None)
+        super()._finish_connect(nid, t)
 
     def _client_rescan(self, nid, t):
-        if not self._rescan_finds_change(nid,
-                                         ring_keys(*pos_cell(self, nid))):
+        cell = pos_cell(self, nid)
+        ring = ring_keys(*cell)
+        key = (cell, *map(self.versions.get, ring),
+               self.radio[nid].attached_ap)
+        if (self.scan_keys.get(nid) == key
+                and self.lazy_count.keys().isdisjoint(ring)):
             self._push_radio(t + self.config.radio.client_rescan, nid,
                              "rescan")
             return
+        self.scan_keys[nid] = key
         self._push_radio(t + self.timing.t_scan, nid, "rescan_result")
 
 
@@ -962,6 +986,29 @@ class TestClientRescan:
         assert len(sim.scan_cell) > 10
         assert sim.skipped == []
 
+    def test_a_registered_client_keeps_its_token(self):
+        # a poll that finds its client still registered keeps the token it
+        # registered at an earlier scan, whether it sleeps on it or scans
+        # for a skipped walker in its ring
+        class Watched(Simulation):
+            def __init__(self, *args, **kwargs):
+                self.polls = []
+                super().__init__(*args, **kwargs)
+
+            def _client_rescan(self, nid, t):
+                token = self.scan_token[nid]
+                super()._client_rescan(nid, t)
+                if token is not None:
+                    self.polls.append((self.scan_token[nid] is token,
+                                       sleeps(self, nid)))
+
+        cfg = load_scenario("desk", router="snw", duration=43200.0,
+                            overrides=["radio.client_rescan=1"])
+        sim = Watched(cfg, 8)
+        sim.run()
+        assert all(kept for kept, _ in sim.polls)
+        assert {asleep for _, asleep in sim.polls} == {True, False}
+
 
 class CountingSimulation(Simulation):
     """The world, counting the APs that go dormant, the AP roles taken on
@@ -999,11 +1046,12 @@ def world_state(sim):
     """The world's state, comparable across runs that push different
     numbers of radio events: the live radio events, on the world's heap
     or a dormant node's own, without their seq numbers, and only the
-    registrations of sleeping clients."""
+    clients' registrations."""
     events = [(time, nid, kind, epoch)
               for heap in (sim.radio_events, *sim.dormant.values())
               for time, nid, _, kind, epoch in heap]
-    watchers = {cell: {n: tok for n, tok in b.items() if tok is sim.asleep[n]}
+    watchers = {cell: {n: tok for n, tok in b.items()
+                       if tok is sim.scan_token[n]}
                 for cell, b in sim.watchers.items()}
     return {
         "radio": [(st.phase, st.timer_expiry, st.attached_ap,
@@ -1018,9 +1066,7 @@ def world_state(sim):
         "grid": {c: list(b) for c, b in sim.grid.items()},
         "ap_grid": {c: list(b) for c, b in sim.ap_grid.items()},
         "ap_near": [sorted(near) for near in sim.ap_near],
-        "cellver": dict(sim.cellver),
-        "client_scan_key": dict(sim.client_scan_key),
-        "asleep": list(sim.asleep),
+        "scan_token": list(sim.scan_token),
         "watchers": {c: b for c, b in watchers.items() if b},
         "planes": [(sorted(p.ap_active),
                     sorted({(link.ap, link.client) for ends in p.links
@@ -1231,10 +1277,18 @@ class EagerSimulation(Simulation):
 
 
 def moved_world_state(sim):
-    """world_state without the cell versions and the scan keys built from
-    them: a skipped mover leaves out the bumps of its cell."""
+    """world_state with the tokens and registrations of sleeping clients
+    only: a skipped mover leaves out the bumps of its cell, which drop the
+    registrations of the awake clients around it."""
     state = world_state(sim)
-    del state["cellver"], state["client_scan_key"]
+    state["scan_token"] = [tok if sleeps(sim, n) else None
+                           for n, tok in enumerate(sim.scan_token)]
+    watchers = {}
+    for cell, bucket in state["watchers"].items():
+        kept = {n: tok for n, tok in bucket.items() if sleeps(sim, n)}
+        if kept:
+            watchers[cell] = kept
+    state["watchers"] = watchers
     return state
 
 

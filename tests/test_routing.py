@@ -55,7 +55,7 @@ class TestBufferAdmit:
         ok, evicted = buffer_admit(b, msg(3), 10)
         assert ok
         assert [e.message.msg_id for e in evicted] == [2]
-        assert 1 in b
+        assert 1 in b.entries
 
     def test_refused_admit_keeps_fifo_order(self):
         b = Buffer(300)
@@ -67,13 +67,13 @@ class TestBufferAdmit:
         # evicting 0 and 1 still leaves no room next to the pinned copy
         ok, evicted = buffer_admit(b, msg(10, size=250), 10)
         assert not ok and evicted == []
-        assert b.ids() == [0, 1, 2]
+        assert list(b.entries) == [0, 1, 2]
         assert b.used == 300 and b.version == version
         b.get(2).pinned = False
         ok, evicted = buffer_admit(b, msg(11, size=100), 10)
         assert ok
         assert [e.message.msg_id for e in evicted] == [0]
-        assert b.ids() == [1, 2, 11]
+        assert list(b.entries) == [1, 2, 11]
 
     def test_duplicate_id_rejected(self):
         b = Buffer(100 * MB)
